@@ -8,9 +8,11 @@
 
 use crate::{
     engine, mapper, AcceleratorConfig, CancelToken, CoreError, Dataflow, ExecutionReport,
-    FormatChoice, MappingStrategy, Result, WorkspacePool,
+    FormatChoice, MappingStrategy, Result,
 };
-use flexagon_sparse::{validate_matrix, CompressedMatrix, FiberFormat, ValidationConfig};
+use flexagon_sparse::{
+    validate_matrix, CompressedMatrix, FiberFormat, FormattedMatrix, ValidationConfig,
+};
 
 /// Result of one accelerator execution: the functional output matrix and
 /// the measured report.
@@ -22,9 +24,8 @@ pub struct RunOutput {
     pub report: ExecutionReport,
 }
 
-/// One execution, fully specified: operands plus the strategy, format and
-/// validation knobs that used to be spread across the
-/// `run`/`run_strategy`/`try_run`/`try_run_strategy` method grid.
+/// One execution, fully specified: operands plus the strategy, format,
+/// validation and cancellation knobs.
 ///
 /// Built builder-style from [`ExecutionRequest::new`] — every knob
 /// defaults to the common case (heuristic dataflow, config-default
@@ -127,7 +128,7 @@ impl<'m> ExecutionRequest<'m> {
 pub struct Execution {
     /// The dataflow that ran (the strategy's choice).
     pub dataflow: Dataflow,
-    /// The fiber storage format the engine staged operands through.
+    /// The fiber storage format the request resolved to.
     pub format: FiberFormat,
     /// The output matrix and execution report.
     pub output: RunOutput,
@@ -144,19 +145,8 @@ pub trait Accelerator {
     /// The dataflows this accelerator can execute.
     fn supported_dataflows(&self) -> &[Dataflow];
 
-    /// The accelerator's reusable execution-workspace pool, if it keeps
-    /// one. Pooled workspaces eliminate per-execute scratch allocation;
-    /// they never affect results.
-    fn workspaces(&self) -> Option<&WorkspacePool> {
-        None
-    }
-
-    /// The unified execution entry point: runs one SpMSpM operation as a
+    /// The execution entry point: runs one SpMSpM operation as a
     /// fully-specified [`ExecutionRequest`].
-    ///
-    /// The request carries in one struct what used to be a 2x2 method grid
-    /// (`run`/`run_strategy` x plain/`try_`), plus the format knob the
-    /// grid would have doubled again:
     ///
     /// * **Validation** runs first when requested
     ///   ([`ExecutionRequest::validated`]) — the boundary for operands
@@ -164,9 +154,11 @@ pub trait Accelerator {
     /// * **Format** resolves next: [`FormatChoice::Config`] takes the
     ///   configured [`crate::EngineConfig::format`], [`FormatChoice::Auto`]
     ///   asks [`mapper::heuristic_format`] (lossless formats only), and
-    ///   [`FormatChoice::Fixed`] pins a token. Lossless formats are
-    ///   result-transparent — outputs and reports are byte-identical to
-    ///   the SoA baseline.
+    ///   [`FormatChoice::Fixed`] pins a token. The accelerators read
+    ///   CSR/CSC operands (Table 3), so a lossless format is a mapping and
+    ///   reporting dimension only: outputs and reports are byte-identical
+    ///   to SoA. The lossy [`FiberFormat::Quant8`] quantizes both operands
+    ///   (encode → decode) before the engine runs.
     /// * **Strategy** dispatches last: [`MappingStrategy::Fixed`] runs
     ///   the pinned dataflow, [`MappingStrategy::Heuristic`] picks by
     ///   calibrated cost estimate and runs once, and
@@ -187,25 +179,24 @@ pub trait Accelerator {
             validate_matrix(req.a, validation).map_err(CoreError::Validation)?;
             validate_matrix(req.b, validation).map_err(CoreError::Validation)?;
         }
-        // `FLEXAGON_FORMAT` (lossless tokens only) rewrites the *default*
-        // choice — the CI knob that routes every unpinned run through one
-        // lossless tier suite-wide. An explicit `Auto`/`Fixed` on the
-        // request is program intent and always wins over the environment.
         let format = match req.format {
-            FormatChoice::Config => flexagon_sparse::format::env_format_override()
-                .unwrap_or(self.config().engine.format),
+            FormatChoice::Config => self.config().engine.format,
             FormatChoice::Auto => mapper::heuristic_format(req.a),
             FormatChoice::Fixed(f) => f,
         };
-        let cfg_owned;
-        let cfg = if self.config().engine.format == format {
-            self.config()
+        // Lossy storage is the one format that changes operands; the
+        // mapper below still reads the operands as submitted.
+        let quantized;
+        let (a, b) = if format.is_lossless() {
+            (req.a, req.b)
         } else {
-            let mut c = *self.config();
-            c.engine.format = format;
-            cfg_owned = c;
-            &cfg_owned
+            quantized = (
+                FormattedMatrix::encode(req.a, format).decode(),
+                FormattedMatrix::encode(req.b, format).decode(),
+            );
+            (&quantized.0, &quantized.1)
         };
+        let cfg = self.config();
         let run_one = |df: Dataflow| -> Result<RunOutput> {
             if !self.supported_dataflows().contains(&df) {
                 return Err(CoreError::UnsupportedDataflow {
@@ -213,8 +204,7 @@ pub trait Accelerator {
                     dataflow: df,
                 });
             }
-            let (c, report) =
-                engine::execute(cfg, self.workspaces(), req.a, req.b, df, &req.cancel)?;
+            let (c, report) = engine::execute(cfg, a, b, df, &req.cancel)?;
             Ok(RunOutput { c, report })
         };
         let (dataflow, output) = match req.strategy {
@@ -248,103 +238,6 @@ pub trait Accelerator {
         })
     }
 
-    /// Runs `a x b` under `dataflow`.
-    ///
-    /// Thin wrapper over [`Accelerator::execute`]; prefer
-    /// `execute(ExecutionRequest::new(a, b).dataflow(dataflow))`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnsupportedDataflow`] if the dataflow is not in
-    /// [`Accelerator::supported_dataflows`]; [`CoreError::Format`] on
-    /// dimension mismatch.
-    #[deprecated(note = "use `execute(ExecutionRequest::new(a, b).dataflow(dataflow))`")]
-    fn run(
-        &self,
-        a: &CompressedMatrix,
-        b: &CompressedMatrix,
-        dataflow: Dataflow,
-    ) -> Result<RunOutput> {
-        self.execute(ExecutionRequest::new(a, b).dataflow(dataflow))
-            .map(|ex| ex.output)
-    }
-
-    /// Runs `a x b` with the dataflow chosen by `strategy`, returning the
-    /// selection together with its output.
-    ///
-    /// Thin wrapper over [`Accelerator::execute`]; prefer
-    /// `execute(ExecutionRequest::new(a, b).strategy(strategy))`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution errors; [`CoreError::UnsupportedDataflow`] when
-    /// a `Fixed` dataflow is not supported.
-    #[deprecated(note = "use `execute(ExecutionRequest::new(a, b).strategy(strategy))`")]
-    fn run_strategy(
-        &self,
-        a: &CompressedMatrix,
-        b: &CompressedMatrix,
-        strategy: MappingStrategy,
-    ) -> Result<(Dataflow, RunOutput)> {
-        self.execute(ExecutionRequest::new(a, b).strategy(strategy))
-            .map(|ex| (ex.dataflow, ex.output))
-    }
-
-    /// Like `run`, but validates both operands under `validation` first.
-    ///
-    /// Thin wrapper over [`Accelerator::execute`]; prefer
-    /// `execute(ExecutionRequest::new(a, b).dataflow(dataflow).validated(*validation))`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Validation`] when an operand fails validation, plus
-    /// everything the fixed-dataflow execution can return.
-    #[deprecated(
-        note = "use `execute(ExecutionRequest::new(a, b).dataflow(dataflow).validated(validation))`"
-    )]
-    fn try_run(
-        &self,
-        a: &CompressedMatrix,
-        b: &CompressedMatrix,
-        dataflow: Dataflow,
-        validation: &ValidationConfig,
-    ) -> Result<RunOutput> {
-        self.execute(
-            ExecutionRequest::new(a, b)
-                .dataflow(dataflow)
-                .validated(*validation),
-        )
-        .map(|ex| ex.output)
-    }
-
-    /// Like `run_strategy`, but validates both operands under `validation`
-    /// first.
-    ///
-    /// Thin wrapper over [`Accelerator::execute`]; prefer
-    /// `execute(ExecutionRequest::new(a, b).strategy(strategy).validated(*validation))`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Validation`] when an operand fails validation, plus
-    /// everything the strategy execution can return.
-    #[deprecated(
-        note = "use `execute(ExecutionRequest::new(a, b).strategy(strategy).validated(validation))`"
-    )]
-    fn try_run_strategy(
-        &self,
-        a: &CompressedMatrix,
-        b: &CompressedMatrix,
-        strategy: MappingStrategy,
-        validation: &ValidationConfig,
-    ) -> Result<(Dataflow, RunOutput)> {
-        self.execute(
-            ExecutionRequest::new(a, b)
-                .strategy(strategy)
-                .validated(*validation),
-        )
-        .map(|ex| (ex.dataflow, ex.output))
-    }
-
     /// Runs every supported dataflow and returns the fastest result.
     ///
     /// This is the oracle selection the paper uses to drive Flexagon's
@@ -370,9 +263,6 @@ macro_rules! fixed_accelerator {
         #[derive(Debug, Clone)]
         pub struct $name {
             cfg: AcceleratorConfig,
-            /// Reusable execution workspaces (cloning yields a fresh pool —
-            /// pooled scratch is a pure cache).
-            workspaces: WorkspacePool,
         }
 
         impl $name {
@@ -380,10 +270,7 @@ macro_rules! fixed_accelerator {
             /// memory hierarchy is adjusted to this design's sizing.
             pub fn new(mut cfg: AcceleratorConfig) -> Self {
                 cfg.memory = $memory(cfg.memory);
-                Self {
-                    cfg,
-                    workspaces: WorkspacePool::new(),
-                }
+                Self { cfg }
             }
 
             /// Creates the accelerator with the paper's Table 5 parameters.
@@ -403,10 +290,6 @@ macro_rules! fixed_accelerator {
 
             fn supported_dataflows(&self) -> &[Dataflow] {
                 &$dataflows
-            }
-
-            fn workspaces(&self) -> Option<&WorkspacePool> {
-                Some(&self.workspaces)
             }
         }
 
@@ -504,17 +387,17 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // wrapper coverage: the deprecated grid must stay correct
     fn baselines_reject_foreign_dataflows() {
         let sigma = SigmaLike::with_defaults();
         let a = CompressedMatrix::zero(2, 2, flexagon_sparse::MajorOrder::Row);
         let b = CompressedMatrix::zero(2, 2, flexagon_sparse::MajorOrder::Row);
-        let err = sigma.run(&a, &b, Dataflow::GustavsonM).unwrap_err();
+        let err = sigma
+            .execute(ExecutionRequest::new(&a, &b).dataflow(Dataflow::GustavsonM))
+            .unwrap_err();
         assert!(matches!(err, CoreError::UnsupportedDataflow { .. }));
     }
 
     #[test]
-    #[allow(deprecated)] // wrapper coverage: the deprecated grid must stay correct
     fn fixed_strategy_matches_direct_run() {
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
@@ -524,16 +407,18 @@ mod tests {
             flexagon_sparse::gen::random(24, 24, 0.3, flexagon_sparse::MajorOrder::Row, &mut rng);
         let f = Flexagon::with_defaults();
         for df in Dataflow::ALL {
-            let (chosen, out) = f.run_strategy(&a, &b, MappingStrategy::Fixed(df)).unwrap();
-            let direct = f.run(&a, &b, df).unwrap();
-            assert_eq!(chosen, df);
-            assert_eq!(out.c, direct.c);
-            assert_eq!(out.report.total_cycles, direct.report.total_cycles);
+            let ex = f
+                .execute(ExecutionRequest::new(&a, &b).strategy(MappingStrategy::Fixed(df)))
+                .unwrap();
+            let (c, report) =
+                engine::execute(f.config(), &a, &b, df, &CancelToken::never()).unwrap();
+            assert_eq!(ex.dataflow, df);
+            assert_eq!(ex.output.c, c);
+            assert_eq!(ex.output.report.total_cycles, report.total_cycles);
         }
     }
 
     #[test]
-    #[allow(deprecated)] // wrapper coverage: the deprecated grid must stay correct
     fn oracle_strategy_matches_run_best() {
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(12);
@@ -542,14 +427,15 @@ mod tests {
         let b =
             flexagon_sparse::gen::random(32, 24, 0.3, flexagon_sparse::MajorOrder::Row, &mut rng);
         let f = Flexagon::with_defaults();
-        let (df, out) = f.run_strategy(&a, &b, MappingStrategy::Oracle).unwrap();
+        let ex = f
+            .execute(ExecutionRequest::new(&a, &b).strategy(MappingStrategy::Oracle))
+            .unwrap();
         let best = f.run_best(&a, &b).unwrap();
-        assert_eq!(out.report.total_cycles, best.report.total_cycles);
-        assert_eq!(df, out.report.dataflow);
+        assert_eq!(ex.output.report.total_cycles, best.report.total_cycles);
+        assert_eq!(ex.dataflow, ex.output.report.dataflow);
     }
 
     #[test]
-    #[allow(deprecated)] // wrapper coverage: the deprecated grid must stay correct
     fn heuristic_strategy_picks_a_supported_dataflow() {
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(13);
@@ -558,43 +444,9 @@ mod tests {
         let b =
             flexagon_sparse::gen::random(24, 24, 0.4, flexagon_sparse::MajorOrder::Row, &mut rng);
         let sigma = SigmaLike::with_defaults();
-        let (df, out) = sigma
-            .run_strategy(&a, &b, MappingStrategy::Heuristic)
-            .unwrap();
-        assert!(sigma.supported_dataflows().contains(&df));
-        assert_eq!(out.report.dataflow, df);
-    }
-
-    #[test]
-    #[allow(deprecated)] // wrapper coverage: the deprecated grid must stay correct
-    fn try_run_rejects_invalid_operands_and_matches_run_on_valid() {
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(14);
-        let a =
-            flexagon_sparse::gen::random(16, 16, 0.3, flexagon_sparse::MajorOrder::Row, &mut rng);
-        let b =
-            flexagon_sparse::gen::random(16, 16, 0.3, flexagon_sparse::MajorOrder::Row, &mut rng);
-        let f = Flexagon::with_defaults();
-        let cfg = flexagon_sparse::ValidationConfig::untrusted();
-        let out = f.try_run(&a, &b, Dataflow::GustavsonM, &cfg).unwrap();
-        assert_eq!(out.c, f.run(&a, &b, Dataflow::GustavsonM).unwrap().c);
-
-        // An Inf operand passes `run` but is refused at the try_ boundary.
-        let poisoned = CompressedMatrix::from_triplets(
-            16,
-            16,
-            &[(0, 0, f32::INFINITY)],
-            flexagon_sparse::MajorOrder::Row,
-        )
-        .unwrap();
-        let err = f
-            .try_run(&a, &poisoned, Dataflow::GustavsonM, &cfg)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Validation(_)));
-        let err = f
-            .try_run_strategy(&poisoned, &b, MappingStrategy::Heuristic, &cfg)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Validation(_)));
+        let ex = sigma.execute(ExecutionRequest::new(&a, &b)).unwrap();
+        assert!(sigma.supported_dataflows().contains(&ex.dataflow));
+        assert_eq!(ex.output.report.dataflow, ex.dataflow);
     }
 
     #[test]
@@ -608,8 +460,6 @@ mod tests {
             flexagon_sparse::gen::random(24, 32, 0.3, flexagon_sparse::MajorOrder::Row, &mut rng);
         let f = Flexagon::with_defaults();
         for df in [Dataflow::InnerProductM, Dataflow::GustavsonN] {
-            // The baseline pins SoA explicitly so the differential holds
-            // even when `FLEXAGON_FORMAT` redirects the config default.
             let base = f
                 .execute(
                     ExecutionRequest::new(&a, &b)

@@ -7,23 +7,6 @@ use flexagon_sim::Cycle;
 use flexagon_sparse::{AccumConfig, FiberFormat};
 use serde::{Deserialize, Serialize};
 
-/// SIMD policy for the engine's kernel layer (the `vendor/simd` shim).
-///
-/// Every vectorized kernel is bit-identical to its scalar twin, so this
-/// knob never changes a result — only which instruction sequence computes
-/// it. It exists for A/B measurement and for pinning CI legs to the
-/// fallback; the `FLEXAGON_SIMD=off` environment variable forces scalar
-/// regardless of this setting (the env read is process-wide and wins).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SimdMode {
-    /// Use the best runtime-detected vector path (AVX2/NEON), falling back
-    /// to scalar on machines without one.
-    #[default]
-    Auto,
-    /// Force the scalar kernels everywhere.
-    Scalar,
-}
-
 /// Thresholds steering the engine's adaptive software paths.
 ///
 /// These do not model hardware — the cycle and traffic accounting is
@@ -58,20 +41,14 @@ pub struct EngineConfig {
     /// [`EngineConfig::shard_grain_nnz`] is set). Values above the core
     /// count oversubscribe, like rayon's global pool.
     pub shard_workers: usize,
-    /// SIMD policy for the kernel layer. [`SimdMode::Auto`] (the default)
-    /// takes the runtime-detected vector paths; [`SimdMode::Scalar`] forces
-    /// the scalar twins. Results are bit-identical either way.
-    pub simd: SimdMode,
-    /// Fiber storage format the engine stages its operands through
-    /// ([`FiberFormat::Soa`] by default — the baseline, no staging at
-    /// all). Lossless formats are result-transparent: encode → decode
-    /// reproduces the operand bit for bit, so reports and outputs are
-    /// byte-identical to the SoA run. The lossy [`FiberFormat::Quant8`]
-    /// is honored only when set here explicitly (opt-in). The
-    /// `FLEXAGON_FORMAT` environment variable, when set to a lossless
-    /// token, wins over this field for runs that don't pin a format on
-    /// the request (the `FLEXAGON_SIMD` precedent); an explicit
-    /// `FormatChoice::Auto`/`Fixed` always wins over the environment.
+    /// Fiber storage format a request resolves to when it leaves the
+    /// choice to the config (`FormatChoice::Config`, the default);
+    /// [`FiberFormat::Soa`] by default. The engine reads CSR/CSC operands
+    /// whatever the format, so a lossless format is reported, never
+    /// executed: outputs and reports are byte-identical to the SoA run.
+    /// The lossy [`FiberFormat::Quant8`] is honored only when set
+    /// explicitly (opt-in): `Accelerator::execute` quantizes the operands
+    /// before the engine runs.
     pub format: FiberFormat,
     /// Tier cutoffs for the Outer-Product/Gustavson psum accumulators.
     pub accum: AccumConfig,
@@ -116,9 +93,7 @@ impl EngineConfig {
     pub const DEFAULT_SHARD_GRAIN_NNZ: usize = 0;
     /// Default for [`EngineConfig::shard_workers`].
     pub const DEFAULT_SHARD_WORKERS: usize = 1;
-    /// Default for [`EngineConfig::format`]: the SoA baseline, which skips
-    /// format staging entirely and reproduces the recorded goldens bit for
-    /// bit.
+    /// Default for [`EngineConfig::format`]: the SoA baseline.
     pub const DEFAULT_FORMAT: FiberFormat = FiberFormat::Soa;
 
     /// A sharded configuration: bands of roughly `grain_nnz` stationary
@@ -139,7 +114,6 @@ impl Default for EngineConfig {
             indexed_max_acc_elements: Self::DEFAULT_INDEXED_MAX_ACC_ELEMENTS,
             shard_grain_nnz: Self::DEFAULT_SHARD_GRAIN_NNZ,
             shard_workers: Self::DEFAULT_SHARD_WORKERS,
-            simd: SimdMode::default(),
             format: Self::DEFAULT_FORMAT,
             accum: AccumConfig::default(),
             mapper: MapperCalibration::calibrated(),
@@ -260,7 +234,6 @@ mod tests {
             e.indexed_max_acc_elements,
             EngineConfig::DEFAULT_INDEXED_MAX_ACC_ELEMENTS
         );
-        assert_eq!(e.simd, SimdMode::Auto);
         assert_eq!(e.format, EngineConfig::DEFAULT_FORMAT);
         assert_eq!(e.format, FiberFormat::Soa);
         assert_eq!(

@@ -16,8 +16,8 @@
 //! [`RowAccum`](flexagon_sparse::RowAccum) in stationary order (the merge
 //! tree's tie-break order), and the MRN charges the identical pass model
 //! against the drained length. Split rows collect their per-chunk fibers
-//! in sorted-run accumulators checked out of the workspace pool across
-//! tiles while ghost PSRAM chains model the chunk buffering; rows split
+//! in sorted-run accumulators checked out of the band workspace's
+//! accumulator pool across tiles while ghost PSRAM chains model the chunk buffering; rows split
 //! into more chunks than one tree pass could merge (beyond the MRN radix)
 //! keep the fully materialized legacy path, so multi-pass merge accounting
 //! stays exact.
@@ -126,7 +126,7 @@ pub(super) fn run(e: &mut Engine<'_>, ws: &mut EngineWorkspace) {
             } else {
                 // Legacy materialized path for rows whose chunk count
                 // exceeds one merge pass: scaled fibers stage in the
-                // engine's reusable pool and the MRN merges views of them.
+                // engine's scaled-fiber pool and the MRN merges views of them.
                 let mut used = 0usize;
                 for el in chunk.iter() {
                     let len = b.fiber_len(el.coord) as u64;

@@ -34,8 +34,8 @@
 //! Every path visits the matches of a given (cluster, streaming fiber) pair
 //! in ascending k, so each accumulator register receives its additions in
 //! the exact order of the original scan and execution reports stay
-//! bit-identical across strategies. All scratch state lives in the
-//! [`EngineWorkspace`], so a steady-state execution allocates nothing.
+//! bit-identical across strategies. All scratch state lives in the band's
+//! [`EngineWorkspace`], sized once per band and reused across its tiles.
 
 use super::workspace::EngineWorkspace;
 use super::{tiling, Engine, IpShared};

@@ -19,8 +19,7 @@
 //! order — the merge tree's own tie-break order — so the drained fiber is
 //! bit-identical to the k-way merge at a fraction of the cost. The
 //! per-execute plan (tiles feeding each row, per-tile output spans) lives
-//! in the flat band-row-indexed arrays of the [`EngineWorkspace`], reused
-//! across executions.
+//! in the flat band-row-indexed arrays of the band's [`EngineWorkspace`].
 
 use super::workspace::EngineWorkspace;
 use super::{tiling, Engine};

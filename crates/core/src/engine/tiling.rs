@@ -9,9 +9,8 @@
 //!
 //! Plans are *flat*: clusters, groups and targets live in contiguous
 //! vectors with tile boundaries recorded as prefix ends. That keeps a plan
-//! fully reusable — an [`EngineWorkspace`](super::workspace::EngineWorkspace)
-//! holds one of each and replanning touches no allocator in the steady
-//! state — and makes tile iteration a slice walk.
+//! cheap to build — an [`EngineWorkspace`](super::workspace::EngineWorkspace)
+//! holds one of each per band — and makes tile iteration a slice walk.
 //!
 //! Every planner takes the *band* of output rows it plans for (the shard
 //! unit of the parallel engine). Planning `0..rows` reproduces the

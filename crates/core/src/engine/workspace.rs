@@ -1,36 +1,20 @@
-//! Reusable execution workspaces.
+//! Per-band execution scratch.
 //!
-//! Every `execute` call needs a pile of scratch state — tile plans, per-row
+//! Every band needs a pile of scratch state — tile plans, per-row
 //! accumulator pools, stamp/span vectors, k-entry tables, scaled-fiber
-//! pools — that used to be allocated fresh per call (`vec![...; rows]`
-//! eight times over in the Outer-Product loop alone). Sweep-style workloads
-//! (the oracle's six-dataflow fan-out, `mapper_calibrate`'s 526 cases)
-//! re-pay that allocation churn for every single simulation.
-//!
-//! [`EngineWorkspace`] is the arena that survives across executions: all
-//! scratch buffers keep their allocations, and each run only resizes and
-//! re-stamps what it touches. Workspaces never influence results — every
-//! buffer is either fully reset on entry (stamps, assignment tables) or
-//! maintained clean by the loops that use it (accumulator grids, presence
-//! masks), which the debug assertions in [`EngineWorkspace::debug_assert_clean`]
-//! pin down.
-//!
-//! [`WorkspacePool`] makes reuse safe under parallelism: each accelerator
-//! owns a pool, every concurrent execution (layer-parallel runs, intra-layer
-//! shards) checks a workspace out for the duration of one band and returns
-//! it on drop. In the steady state the pool holds as many workspaces as the
-//! peak concurrency and `execute` performs no scratch allocation at all.
+//! pools. [`EngineWorkspace`] gathers it in one arena that `execute` builds
+//! fresh for each band: buffers are sized once per band and reused across
+//! its tiles, kept clean between tiles by the loops that use them.
 
 use super::tiling::{ColPlan, RowPlan};
 use flexagon_sparse::{Fiber, RowAccum, Value};
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// Scratch arena for one in-flight execution band.
 ///
 /// Fields are grouped by the dataflow class that uses them; the shared
 /// fields at the top serve every class. All buffers keep their allocations
-/// across uses.
+/// across the band's tiles.
 #[derive(Debug, Default)]
 pub(crate) struct EngineWorkspace {
     // --- shared -----------------------------------------------------------
@@ -38,10 +22,6 @@ pub(crate) struct EngineWorkspace {
     pub row_plan: RowPlan,
     /// Column-stationary tile plan (Outer Product).
     pub col_plan: ColPlan,
-    /// Scaled-fiber staging pool (Gustavson's legacy wide-row path).
-    pub scaled_pool: Vec<Fiber>,
-    /// Accumulator backing the engine's multi-pass row merges.
-    pub merge_acc: RowAccum,
     /// Per-row accumulator pool (Outer Product scatter targets, Gustavson
     /// split-row run collectors).
     pub pool: Vec<RowAccum>,
@@ -98,232 +78,39 @@ pub(crate) struct EngineWorkspace {
 }
 
 impl EngineWorkspace {
-    /// Sizes and resets the band-row-indexed scratch for a band of `rows`
-    /// output rows. Stamps and assignment tables are re-initialized (their
-    /// values from a previous execution would alias the new tile indices);
-    /// the span vectors are re-derived per tile and need no reset.
+    /// Sizes the band-row-indexed scratch for a band of `rows` output
+    /// rows. Stamps and assignment tables start unassigned; the span
+    /// vectors are re-derived per tile.
     pub fn reset_band_rows(&mut self, rows: usize) {
-        self.stamp.clear();
-        self.stamp.resize(rows, u32::MAX);
-        self.tiles_left.clear();
-        self.tiles_left.resize(rows, 0);
-        self.accum_of.clear();
-        self.accum_of.resize(rows, u32::MAX);
-        if self.span_lo.len() < rows {
-            self.span_lo.resize(rows, 0);
-            self.span_hi.resize(rows, 0);
-            self.span_nnz.resize(rows, 0);
-        }
-        if self.pending.len() < rows {
-            self.pending.resize_with(rows, Vec::new);
-        }
-        debug_assert!(
-            self.pending.iter().all(Vec::is_empty),
-            "pending partial fibers must drain by the end of each run"
-        );
-        debug_assert!(
-            self.free.len() == self.pool.len(),
-            "every pooled accumulator must be free between runs"
-        );
+        self.stamp = vec![u32::MAX; rows];
+        self.tiles_left = vec![0; rows];
+        self.accum_of = vec![u32::MAX; rows];
+        self.span_lo = vec![0; rows];
+        self.span_hi = vec![0; rows];
+        self.span_nnz = vec![0; rows];
+        self.pending = vec![Vec::new(); rows];
     }
 
     /// Sizes the Inner-Product k-indexed scratch (`k_entries`, `k_mask`)
     /// for a K dimension of `k_dim`.
     pub fn reset_k(&mut self, k_dim: usize) {
-        if self.k_entries.len() < k_dim {
-            self.k_entries.resize_with(k_dim, Vec::new);
-        }
-        let words = k_dim.div_ceil(64);
-        if self.k_mask.len() < words {
-            self.k_mask.resize(words, 0);
-        }
-        debug_assert!(
-            self.k_entries.iter().all(Vec::is_empty),
-            "k entries must be cleared by the tile that filled them"
-        );
-        debug_assert!(
-            self.k_mask.iter().all(|&w| w == 0),
-            "k mask must be cleared by the tile that set it"
-        );
+        self.k_entries = vec![Vec::new(); k_dim];
+        self.k_mask = vec![0; k_dim.div_ceil(64)];
     }
 
     /// Sizes the Inner-Product dense accumulator grid for `slots` clusters
     /// by `n_dim` output columns, plus the per-column tallies.
     pub fn reset_grid(&mut self, slots: usize, n_dim: usize) {
-        let cells = slots * n_dim;
-        if self.grid_acc.len() < cells {
-            self.grid_acc.resize(cells, 0.0);
-        }
-        let words = slots * n_dim.div_ceil(64);
-        if self.grid_hit.len() < words {
-            self.grid_hit.resize(words, 0);
-        }
-        if self.injected_n.len() < n_dim {
-            self.injected_n.resize(n_dim, 0);
-            self.delivered_n.resize(n_dim, 0);
-        }
-        self.debug_assert_clean();
-    }
-
-    /// Debug check that the sweep-maintained buffers really are clean —
-    /// the invariant that makes reuse invisible to results.
-    pub fn debug_assert_clean(&self) {
-        debug_assert!(
-            self.grid_hit.iter().all(|&w| w == 0),
-            "grid hit bits must be swept clean"
-        );
-        debug_assert!(
-            self.grid_acc.iter().all(|&v| v == 0.0),
-            "grid accumulator must be swept clean"
-        );
-        debug_assert!(
-            self.injected_n.iter().all(|&v| v == 0) && self.delivered_n.iter().all(|&v| v == 0),
-            "per-column tallies must be reset by the accounting sweep"
-        );
-    }
-}
-
-/// A checkout pool of execution workspaces (the engine's reusable scratch
-/// arenas) owned by an accelerator.
-///
-/// Cloning an accelerator clones its configuration but not its pool
-/// contents — workspaces are a pure cache and a fresh pool is always
-/// equivalent.
-#[derive(Default)]
-pub struct WorkspacePool {
-    slots: Mutex<Vec<EngineWorkspace>>,
-}
-
-impl WorkspacePool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Checks a workspace out, creating one if the pool is empty. The
-    /// workspace returns to the pool when the guard drops.
-    pub(crate) fn acquire(&self) -> WorkspaceGuard<'_> {
-        let ws = self
-            .slots
-            .lock()
-            .expect("workspace pool lock")
-            .pop()
-            .unwrap_or_default();
-        WorkspaceGuard {
-            ws: Some(ws),
-            pool: Some(self),
-        }
-    }
-
-    /// Number of idle workspaces currently pooled.
-    pub fn idle(&self) -> usize {
-        self.slots.lock().expect("workspace pool lock").len()
-    }
-}
-
-impl std::fmt::Debug for WorkspacePool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkspacePool")
-            .field("idle", &self.idle())
-            .finish()
-    }
-}
-
-impl Clone for WorkspacePool {
-    fn clone(&self) -> Self {
-        Self::new()
-    }
-}
-
-/// Owning handle to a checked-out [`EngineWorkspace`].
-#[derive(Debug)]
-pub(crate) struct WorkspaceGuard<'p> {
-    ws: Option<EngineWorkspace>,
-    pool: Option<&'p WorkspacePool>,
-}
-
-impl WorkspaceGuard<'_> {
-    /// A guard with a fresh workspace and no backing pool (dropped, not
-    /// recycled) — the fallback when the caller owns no pool.
-    pub fn detached() -> Self {
-        Self {
-            ws: Some(EngineWorkspace::default()),
-            pool: None,
-        }
-    }
-
-    /// Detaches the workspace from its pool so it drops instead of being
-    /// recycled. A band that bails out mid-run (cooperative cancellation)
-    /// leaves sweep-maintained buffers dirty — pending fibers undrained,
-    /// accumulators checked out — and discarding the arena is cheaper and
-    /// safer than unwinding every loop's cleanup by hand.
-    pub fn discard(&mut self) {
-        self.pool = None;
-    }
-}
-
-impl std::ops::Deref for WorkspaceGuard<'_> {
-    type Target = EngineWorkspace;
-    fn deref(&self) -> &EngineWorkspace {
-        self.ws.as_ref().expect("workspace present until drop")
-    }
-}
-
-impl std::ops::DerefMut for WorkspaceGuard<'_> {
-    fn deref_mut(&mut self) -> &mut EngineWorkspace {
-        self.ws.as_mut().expect("workspace present until drop")
-    }
-}
-
-impl Drop for WorkspaceGuard<'_> {
-    fn drop(&mut self) {
-        if let (Some(ws), Some(pool)) = (self.ws.take(), self.pool) {
-            pool.slots.lock().expect("workspace pool lock").push(ws);
-        }
+        self.grid_acc = vec![0.0; slots * n_dim];
+        self.grid_hit = vec![0; slots * n_dim.div_ceil(64)];
+        self.injected_n = vec![0; n_dim];
+        self.delivered_n = vec![0; n_dim];
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pool_recycles_workspaces() {
-        let pool = WorkspacePool::new();
-        assert_eq!(pool.idle(), 0);
-        {
-            let mut g = pool.acquire();
-            g.touched.push(7);
-            let _g2 = pool.acquire(); // concurrent checkout gets its own
-            assert_eq!(pool.idle(), 0);
-        }
-        assert_eq!(pool.idle(), 2);
-        let g = pool.acquire();
-        assert_eq!(pool.idle(), 1);
-        drop(g);
-        assert_eq!(pool.idle(), 2);
-    }
-
-    #[test]
-    fn discarded_guard_never_returns_to_pool() {
-        let pool = WorkspacePool::new();
-        {
-            let mut g = pool.acquire();
-            g.pending.push(vec![Fiber::new()]); // dirty, as after a bail-out
-            g.discard();
-        }
-        assert_eq!(pool.idle(), 0, "discarded workspaces drop");
-        drop(pool.acquire());
-        assert_eq!(pool.idle(), 1);
-    }
-
-    #[test]
-    fn detached_guard_drops_silently() {
-        let mut g = WorkspaceGuard::detached();
-        g.reset_band_rows(4);
-        assert_eq!(g.stamp.len(), 4);
-        drop(g);
-    }
 
     #[test]
     fn reset_band_rows_restamps() {
@@ -336,13 +123,5 @@ mod tests {
         assert!(ws.stamp.iter().all(|&s| s == u32::MAX));
         assert!(ws.tiles_left.iter().all(|&t| t == 0));
         assert!(ws.accum_of.iter().all(|&a| a == u32::MAX));
-    }
-
-    #[test]
-    fn clone_of_pool_is_fresh() {
-        let pool = WorkspacePool::new();
-        drop(pool.acquire());
-        assert_eq!(pool.idle(), 1);
-        assert_eq!(pool.clone().idle(), 0);
     }
 }

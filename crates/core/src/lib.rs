@@ -20,9 +20,7 @@
 //!   storage-format axis.
 //! * [`Accelerator::execute`] — the unified entry point: one
 //!   [`ExecutionRequest`] carries strategy, format, validation and an
-//!   optional [`CancelToken`] deadline (the former
-//!   `run`/`run_strategy`/`try_run`/`try_run_strategy` grid remains as
-//!   thin deprecated wrappers).
+//!   optional [`CancelToken`] deadline.
 //! * [`CancelToken`] — cooperative cancellation, polled at band/tile/
 //!   merge-pass boundaries; unarmed tokens are result-transparent, armed
 //!   ones surface [`CoreError::DeadlineExceeded`].
@@ -50,10 +48,9 @@ pub use accel::{
     Accelerator, Execution, ExecutionRequest, Flexagon, GammaLike, RunOutput, SigmaLike, SparchLike,
 };
 pub use cancel::CancelToken;
-pub use config::{AcceleratorConfig, EngineConfig, SimdMode};
+pub use config::{AcceleratorConfig, EngineConfig};
 pub use cpu::{CpuConfig, CpuMkl};
 pub use dataflow::{Dataflow, DataflowClass, Stationarity};
-pub use engine::workspace::WorkspacePool;
 pub use error::CoreError;
 pub use mapper::{
     ClassCalibration, FormatChoice, FormatSelection, MapperCalibration, MappingStrategy,

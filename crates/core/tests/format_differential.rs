@@ -4,8 +4,8 @@
 //! baseline, across all six dataflows and the adversarial generator sweep.
 //!
 //! This is the contract that lets the mapper treat format as a free
-//! mapping dimension and lets `FLEXAGON_FORMAT` force CI through any
-//! lossless tier without re-blessing goldens.
+//! mapping dimension. The lossy `q8` tier is the one format that changes
+//! operands: `Accelerator::execute` quantizes them before the engine runs.
 
 use flexagon_core::{Accelerator, AcceleratorConfig, Dataflow, ExecutionRequest, Flexagon};
 use flexagon_sparse::{gen, DenseMatrix, FiberFormat, FormattedMatrix};
@@ -92,6 +92,37 @@ fn quantized_execution_stays_within_tolerance() {
             got.approx_eq(&want_exact, 0.5),
             "{df}: quantized run drifted past the documented tolerance"
         );
+    }
+}
+
+/// A config-default `q8` (the path of serve model jobs pinned to `q8`)
+/// quantizes exactly like explicitly quantized operands, and differs from
+/// the exact SoA run.
+#[test]
+fn config_default_quant8_matches_explicit_quantization() {
+    let mut rng = ChaCha8Rng::seed_from_u64(37);
+    let a = gen::random(40, 56, 0.25, flexagon_sparse::MajorOrder::Row, &mut rng);
+    let b = gen::random(56, 32, 0.3, flexagon_sparse::MajorOrder::Row, &mut rng);
+    let mut cfg = AcceleratorConfig::tiny();
+    cfg.engine.format = FiberFormat::Quant8;
+    let q8_default = Flexagon::new(cfg);
+    let soa = Flexagon::new(AcceleratorConfig::tiny());
+    let aq = FormattedMatrix::encode(&a, FiberFormat::Quant8).decode();
+    let bq = FormattedMatrix::encode(&b, FiberFormat::Quant8).decode();
+    for df in Dataflow::ALL {
+        let ex = q8_default
+            .execute(ExecutionRequest::new(&a, &b).dataflow(df))
+            .expect("config-default q8 run");
+        assert_eq!(ex.format, FiberFormat::Quant8, "{df}");
+        let explicit = run(&soa, &aq, &bq, df, FiberFormat::Soa);
+        assert_eq!(ex.output.c, explicit.c, "{df} output");
+        assert_eq!(
+            serde_json::to_string(&ex.output.report).unwrap(),
+            serde_json::to_string(&explicit.report).unwrap(),
+            "{df} report"
+        );
+        let exact = run(&soa, &a, &b, df, FiberFormat::Soa);
+        assert_ne!(ex.output.c, exact.c, "{df}: q8 must change the output");
     }
 }
 

@@ -280,12 +280,10 @@ fn handle_request(shared: &Arc<ServerShared>, request: Request) -> Response {
             Response::Ok
         }
         Request::SpGemm(r) => {
-            // The pinned format joins the operand-cache identity: a request
-            // pinning `bcsr4` stages its operands differently than the
-            // `soa` default, so cached state (the memoized transpose plan
-            // in particular) is never shared across format-distinct request
-            // streams. Default-format requests keep their bare ids — the
-            // pre-format cache behavior is unchanged.
+            // The pinned format joins the operand-cache identity: ids are
+            // namespaced per pinned format, so a request stream that pins a
+            // format only ever hits operands shipped under that format.
+            // Default-format requests keep their bare ids.
             let a_key = cache_key(r.a_id.as_deref(), r.format);
             let b_key = cache_key(r.b_id.as_deref(), r.format);
             let (a, b) =

@@ -75,7 +75,7 @@ fn served_results_match_direct_execute_under_concurrent_clients() {
             let addr = addr.clone();
             let a = random_matrix(100 + i as u64, 48, 56, 0.3);
             let b = random_matrix(200 + i as u64, 56, 40, 0.35);
-            let ex = Flexagon::with_defaults()
+            let ex = direct
                 .execute(ExecutionRequest::new(&a, &b).strategy(strategy))
                 .expect("direct run");
             let (df, out) = (ex.dataflow, ex.output);
@@ -99,7 +99,6 @@ fn served_results_match_direct_execute_under_concurrent_clients() {
     for h in handles {
         h.join().expect("client thread");
     }
-    drop(direct);
     server.shutdown();
 }
 

@@ -65,8 +65,7 @@ impl AccumConfig {
     /// tiers walk the same presence bitmap on drain and paged adds a page
     /// indirection per scatter. The gate is therefore a memory-footprint
     /// knob, not a speed crossover: 32 bounds the dense value array to
-    /// 128 bytes per expected element (the reusable-workspace pools
-    /// amortize the allocation), and [`AccumConfig::dense_max_span`]
+    /// 128 bytes per expected element, and [`AccumConfig::dense_max_span`]
     /// still caps the absolute span. (Previous hand-tuned value: 4.)
     ///
     /// Re-derived on the SIMD build (the dense drain's run discovery and
@@ -335,9 +334,9 @@ impl RowAccum {
         }
     }
 
-    /// Scatters a [`BlockedFiber`] scaled by `factor` into the row without
-    /// first materializing its SoA form — the blocked-format drain into the
-    /// psum tiers. Bit-identical to `scatter_scaled(decoded, factor)`: the
+    /// Scatters a [`BlockedFiber`](crate::BlockedFiber) scaled by `factor`
+    /// into the row without first materializing its SoA form — the
+    /// blocked-format drain into the psum tiers. Bit-identical to `scatter_scaled(decoded, factor)`: the
     /// blocked walk visits elements in the same ascending coordinate order
     /// and applies the same per-element operations.
     ///

@@ -21,7 +21,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use flexagon::core::{Accelerator, Dataflow, Flexagon};
+//! use flexagon::core::{Accelerator, Dataflow, ExecutionRequest, Flexagon};
 //! use flexagon::sparse::{gen, MajorOrder};
 //! use rand::SeedableRng;
 //!
@@ -31,7 +31,9 @@
 //! let b = gen::random(64, 64, 0.3, MajorOrder::Row, &mut rng);
 //!
 //! let accel = Flexagon::with_defaults();
-//! let run = accel.run(&a, &b, Dataflow::GustavsonM)?;
+//! let run = accel
+//!     .execute(ExecutionRequest::new(&a, &b).dataflow(Dataflow::GustavsonM))?
+//!     .output;
 //! println!("{} cycles, {} bytes off-chip", run.report.total_cycles, run.report.offchip_bytes());
 //! # Ok(())
 //! # }
