@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flexagon_core::{Accelerator, AcceleratorConfig, Dataflow, ExecutionRequest, Flexagon};
 use flexagon_sparse::{
-    gen, merge, reference, AccumConfig, AccumTier, BitmapMatrix, BlockedFiber, CompressedMatrix,
-    Fiber, FiberFormat, FiberIndex, FormattedMatrix, MajorOrder, RowAccum,
+    gen, merge, reference, AccumTier, BitmapMatrix, BlockedFiber, CompressedMatrix, Fiber,
+    FiberFormat, FiberIndex, FormattedMatrix, MajorOrder, RowAccum,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -85,22 +85,19 @@ fn bench_intersection(c: &mut Criterion) {
     group.finish();
 }
 
-/// ROADMAP item (b), measurement half: the two software-path gates on
-/// `EngineConfig`/`AccumConfig` as direct crossover sweeps, so the default
-/// thresholds can be re-derived from numbers instead of hand-tuning.
+/// The engine's two software-path gates as direct sweeps, so their
+/// constants can be re-derived from numbers instead of hand-tuning.
 ///
 /// * `threshold_probe/{scan,probe}/r{R}` — the Inner-Product streaming
 ///   loop's per-fiber choice: mask-scan the streaming fiber against the
 ///   tile's k-bitmap, or probe the fiber's tiered index with the tile's
 ///   sorted stationary list. `R = fiber_len / stationary_len`; the engine
-///   probes when `R >= probe_gate_factor`, so the gate should sit at the
+///   probes when `R >= PROBE_GATE_FACTOR`, so the gate should sit at the
 ///   measured crossover ratio.
-/// * `threshold_probe/{dense,paged}_accum/s{S}` — the psum accumulator's
-///   dense-vs-paged choice at span-per-element ratio `S = span / nnz`
-///   (tiers forced via the config gates; identical scatter/drain results
-///   either way). The dense tier pays `span` value slots, the paged tier
-///   pays the bitmap plus page indirection; the gate
-///   `dense_span_per_elem` should sit at the crossover `S`.
+/// * `threshold_probe/dense_accum/s{S}` — the dense psum accumulator's
+///   cost at span-per-element ratio `S = span / nnz`, forced by passing
+///   the span itself as the element hint. The tier pays `span` value
+///   slots; its gate (`S <= 64`) bounds that footprint.
 fn bench_threshold_probe(c: &mut Criterion) {
     let mut group = c.benchmark_group("threshold_probe");
 
@@ -147,47 +144,34 @@ fn bench_threshold_probe(c: &mut Criterion) {
         });
     }
 
-    // Dense-vs-paged accumulator: fixed element volume, widening span.
+    // Dense accumulator: fixed element volume, widening span.
     let ways = 16usize;
     let len = 256usize;
     let nnz = (ways * len) as u64;
-    // Force a tier regardless of shape: dense needs the span gate wide
-    // open, paged needs the dense gate shut and the paged gate open.
-    let dense_cfg = AccumConfig {
-        dense_span_per_elem: u64::MAX,
-        dense_max_span: u64::MAX,
-        ..AccumConfig::default()
-    };
-    let paged_cfg = AccumConfig {
-        dense_span_per_elem: 0,
-        paged_bits_per_elem: u64::MAX,
-        paged_max_span: u64::MAX,
-        ..AccumConfig::default()
-    };
     for spe in [2u64, 4, 8, 16, 32, 64, 128, 256, 512] {
         let span = nnz * spe;
         let fibers: Vec<Fiber> = (0..ways)
             .map(|s| intersection_fiber(len, span as u32, 400 + spe * 31 + s as u64))
             .collect();
         let (lo, hi) = (0u32, span as u32 - 1);
-        for (label, cfg, want) in [
-            ("dense_accum", &dense_cfg, AccumTier::Dense),
-            ("paged_accum", &paged_cfg, AccumTier::Paged),
-        ] {
-            let mut acc = RowAccum::new();
-            acc.begin(lo, hi, nnz, cfg);
-            assert_eq!(acc.tier(), Some(want), "{label} s{spe}");
-            acc.drain();
-            group.bench_function(BenchmarkId::new(label, format!("s{spe}")), |bench| {
+        // A hint of one element per coordinate admits any span under the
+        // dense tier's absolute cap, so every ratio measures that tier.
+        let mut acc = RowAccum::new();
+        acc.begin(lo, hi, span);
+        assert_eq!(acc.tier(), Some(AccumTier::Dense), "dense_accum s{spe}");
+        acc.drain();
+        group.bench_function(
+            BenchmarkId::new("dense_accum", format!("s{spe}")),
+            |bench| {
                 bench.iter(|| {
-                    acc.begin(lo, hi, nnz, cfg);
+                    acc.begin(lo, hi, span);
                     for f in &fibers {
                         acc.scatter_scaled(black_box(f.as_view()), 1.5);
                     }
                     acc.drain()
                 });
-            });
-        }
+            },
+        );
     }
     group.finish();
 }
@@ -200,8 +184,9 @@ fn bench_threshold_probe(c: &mut Criterion) {
 ///   interleaved pair (run length ~1, the hostile shape) and a skewed pair
 ///   (long runs, where the vector prefix scan pays off).
 /// * `dot/*`, `gallop/*` — the sorted-intersection inner loops.
-/// * `drain/*` — accumulator scatter+drain per tier; the drain half is the
-///   bitmap-directed SIMD compress-store (scatter is scalar by design).
+/// * `drain/dense` — dense-tier accumulator scatter+drain; the drain half
+///   is the bitmap-directed SIMD compress-store (scatter is scalar by
+///   design).
 /// * `bitmap_and/*` — `BitmapMatrix::intersect_count` over word masks.
 ///
 /// Under `FLEXAGON_SIMD=off` both legs take the scalar path (the env
@@ -224,28 +209,10 @@ fn bench_simd_kernels(c: &mut Criterion) {
     let bm_b =
         BitmapMatrix::from_compressed(&gen::random(512, 4096, 0.05, MajorOrder::Row, &mut rng));
 
-    let cfg = AccumConfig::default();
-    let accum_shapes: &[(&str, usize, usize, u32)] =
-        &[("dense", 16, 256, 1024), ("paged", 64, 64, 200_000)];
-    let accum_inputs: Vec<(&str, Vec<Fiber>, u32, u32, u64)> = accum_shapes
-        .iter()
-        .map(|&(label, ways, len, space)| {
-            let fibers: Vec<Fiber> = (0..ways)
-                .map(|s| intersection_fiber(len, space, 2000 + s as u64))
-                .collect();
-            let (lo, hi, nnz) = fibers.iter().filter(|f| !f.is_empty()).fold(
-                (u32::MAX, 0u32, 0u64),
-                |(lo, hi, nnz), f| {
-                    (
-                        lo.min(f.coords()[0]),
-                        hi.max(f.coords()[f.len() - 1]),
-                        nnz + f.len() as u64,
-                    )
-                },
-            );
-            (label, fibers, lo, hi, nnz)
-        })
+    let accum_fibers: Vec<Fiber> = (0..16)
+        .map(|s| intersection_fiber(256, 1024, 2000 + s as u64))
         .collect();
+    let (accum_lo, accum_hi, accum_nnz) = span_of(&accum_fibers);
 
     for (mode, forced) in [("scalar", true), ("simd", false)] {
         simd::set_scalar_only(forced);
@@ -274,18 +241,16 @@ fn bench_simd_kernels(c: &mut Criterion) {
                     .dot_probe(black_box(skew_b.as_view()), black_box(&skew_b_index))
             });
         });
-        for (label, fibers, lo, hi, nnz) in &accum_inputs {
-            let mut acc = RowAccum::new();
-            group.bench_function(BenchmarkId::new(&format!("drain/{label}"), mode), |bench| {
-                bench.iter(|| {
-                    acc.begin(*lo, *hi, *nnz, &cfg);
-                    for f in fibers {
-                        acc.scatter_scaled(black_box(f.as_view()), 1.5);
-                    }
-                    acc.drain()
-                });
+        let mut acc = RowAccum::new();
+        group.bench_function(BenchmarkId::new("drain/dense", mode), |bench| {
+            bench.iter(|| {
+                acc.begin(accum_lo, accum_hi, accum_nnz);
+                for f in &accum_fibers {
+                    acc.scatter_scaled(black_box(f.as_view()), 1.5);
+                }
+                acc.drain()
             });
-        }
+        });
         group.bench_function(BenchmarkId::new("bitmap_and/512x4096", mode), |bench| {
             bench.iter(|| black_box(&bm_a).intersect_count(black_box(&bm_b)));
         });
@@ -316,37 +281,38 @@ fn merge_inputs(ways: usize, len: usize) -> Vec<Fiber> {
         .collect()
 }
 
+/// Lowest and highest coordinate and total element count of `fibers` —
+/// the accumulator's `begin` arguments for that row.
+fn span_of(fibers: &[Fiber]) -> (u32, u32, u64) {
+    fibers
+        .iter()
+        .filter(|f| !f.is_empty())
+        .fold((u32::MAX, 0, 0), |(lo, hi, nnz), f| {
+            (
+                lo.min(f.coords()[0]),
+                hi.max(f.coords()[f.len() - 1]),
+                nnz + f.len() as u64,
+            )
+        })
+}
+
 /// The tiered psum accumulators against the k-way merge they replace, per
 /// tier: scatter+drain of `ways` scaled fibers vs `merge_accumulate` over
 /// the same views. The shapes force each tier: a tight span for dense, a
-/// medium span for the paged bitmap-directed gather, a huge span for the
-/// sorted-run list.
+/// huge span for the sorted-run list.
 fn bench_accumulators(c: &mut Criterion) {
     let mut group = c.benchmark_group("accumulators");
-    let cfg = AccumConfig::default();
     // (label, ways, len per fiber, coordinate space)
     let shapes: &[(&str, usize, usize, u32)] = &[
         ("dense/64x256", 64, 256, 1024),
-        // Span/nnz ~49: past the measured dense gate (32), inside the
-        // paged bitmap budget (64 bits per element).
-        ("paged/64x64", 64, 64, 200_000),
         ("runs/16x256", 16, 256, 1 << 26),
     ];
     for &(label, ways, len, space) in shapes {
         let fibers: Vec<Fiber> = (0..ways)
             .map(|s| intersection_fiber(len, space, 1000 + s as u64))
             .collect();
-        let (lo, hi, nnz) = fibers.iter().filter(|f| !f.is_empty()).fold(
-            (u32::MAX, 0u32, 0u64),
-            |(lo, hi, nnz), f| {
-                (
-                    lo.min(f.coords()[0]),
-                    hi.max(f.coords()[f.len() - 1]),
-                    nnz + f.len() as u64,
-                )
-            },
-        );
-        let tier = AccumTier::select((hi - lo) as u64 + 1, nnz, &cfg);
+        let (lo, hi, nnz) = span_of(&fibers);
+        let tier = AccumTier::select((hi - lo) as u64 + 1, nnz);
         assert!(
             label.starts_with(tier.name()),
             "shape {label} selected tier {}",
@@ -355,7 +321,7 @@ fn bench_accumulators(c: &mut Criterion) {
         let mut acc = RowAccum::new();
         group.bench_function(BenchmarkId::new("scatter_drain", label), |bench| {
             bench.iter(|| {
-                acc.begin(lo, hi, nnz, &cfg);
+                acc.begin(lo, hi, nnz);
                 for f in &fibers {
                     acc.scatter_scaled(black_box(f.as_view()), 1.5);
                 }

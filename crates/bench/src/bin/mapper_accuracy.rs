@@ -310,7 +310,7 @@ fn main() -> ExitCode {
             if ft < fg.min_top1_percent {
                 eprintln!(
                     "mapper_accuracy: format top-1 {ft:.2}% fell below the recorded floor \
-                     {:.2}% — retune FormatSelection or update {path}",
+                     {:.2}% — retune the gates of mapper::choose_format or update {path}",
                     fg.min_top1_percent
                 );
                 failed = true;
@@ -318,7 +318,7 @@ fn main() -> ExitCode {
             if fmt_waste > fg.max_geomean_waste {
                 eprintln!(
                     "mapper_accuracy: format geomean waste {fmt_waste:.4}x exceeds {:.3}x — \
-                     retune FormatSelection or update {path}",
+                     retune the gates of mapper::choose_format or update {path}",
                     fg.max_geomean_waste
                 );
                 failed = true;

@@ -1,32 +1,22 @@
 //! Accelerator configuration (paper Table 5) and the engine's software
-//! tuning thresholds.
+//! execution settings.
 
 use crate::mapper::MapperCalibration;
 use flexagon_mem::MemoryConfig;
 use flexagon_sim::Cycle;
-use flexagon_sparse::{AccumConfig, FiberFormat};
+use flexagon_sparse::FiberFormat;
 use serde::{Deserialize, Serialize};
 
-/// Thresholds steering the engine's adaptive software paths.
+/// How the engine executes a layer in software.
 ///
 /// These do not model hardware — the cycle and traffic accounting is
-/// identical whichever path runs — they pick the cheapest *software*
-/// strategy for the operand shape at hand. The probe and accumulator
-/// gates are derived from the `threshold_probe` benchmark group's
-/// measured crossovers (see the named defaults below for the method);
-/// re-run that group on a new machine class to re-derive them.
+/// identical whatever they are set to. The engine's adaptive-path gates
+/// (Inner-Product probe and k-indexed dispatch, psum accumulator tiers)
+/// are private constants next to the code they steer, each with the
+/// measurement it was derived from; they only pick which software path
+/// computes a bit-identical result.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EngineConfig {
-    /// Inner-Product streaming loop: probe a fiber's index with the tile's
-    /// stationary list (instead of mask-scanning the fiber) when
-    /// `stationary_coords * probe_gate_factor <= fiber_len`.
-    pub probe_gate_factor: usize,
-    /// Inner-Product dispatch: take the k-indexed tile loop when
-    /// `K >= indexed_min_k_ratio * multipliers`.
-    pub indexed_min_k_ratio: usize,
-    /// Inner-Product dispatch: upper bound, in elements, on the dense
-    /// `clusters x N` accumulator grid the k-indexed path may allocate.
-    pub indexed_max_acc_elements: usize,
     /// Intra-layer shard grain: target stationary-operand nonzeros per
     /// output-row band. `0` disables sharding (one band spanning every
     /// output row — the classic sequential execution).
@@ -50,43 +40,14 @@ pub struct EngineConfig {
     /// explicitly (opt-in): `Accelerator::execute` quantizes the operands
     /// before the engine runs.
     pub format: FiberFormat,
-    /// Tier cutoffs for the Outer-Product/Gustavson psum accumulators.
-    pub accum: AccumConfig,
     /// Fitted corrections for the heuristic mapper's closed-form cost
     /// model (defaults to the checked-in `mapper_calibrate` fit; see
-    /// [`MapperCalibration`]). Like the other fields, this has no effect
-    /// on modeled cycles — only on which dataflow the heuristic picks.
+    /// [`MapperCalibration`]). This has no effect on modeled cycles —
+    /// only on which dataflow the heuristic picks.
     pub mapper: MapperCalibration,
 }
 
 impl EngineConfig {
-    /// Default for [`EngineConfig::probe_gate_factor`].
-    ///
-    /// Derived from `threshold_probe/{scan,probe}`: a mask-scan of a
-    /// 4096-element fiber is flat (~3.6 µs) while probing with a
-    /// stationary list `R` times shorter scales down with `R` (6.1 µs at
-    /// R=1, 3.0 µs at R=2, 1.5 µs at R=4) — the crossover sits between
-    /// R=1 and R=2, so the gate probes from a 2:1 length ratio on. (The
-    /// previous hand-tuned value of 4 left the 2–4x band on the slower
-    /// scan path.)
-    ///
-    /// Re-checked on the SIMD build (the bitmap tier that dominates these
-    /// fixtures is untouched by SIMD, but inlining around `Prober::probe`
-    /// shifted): a lib-level microbench pins the bitmap probe at the same
-    /// ~1.6 ns/probe as the pre-SIMD build, keeping the crossover between
-    /// R=1 and R=2, and an engine A/B of gate 2 vs 4 on `execute/table5`
-    /// showed no dataflow where 4 wins (KMN was 15% worse). The
-    /// `threshold_probe/probe` numbers as compiled in the bench *binary*
-    /// currently read ~2x the lib-level cost at low `R` (a codegen/layout
-    /// artifact of that binary, not a library regression — see
-    /// BENCH_spgemm.json notes); naively reading them would move the gate
-    /// to 4 and lose the KMN win, so the gate stays 2.
-    pub const DEFAULT_PROBE_GATE_FACTOR: usize = 2;
-    /// Default for [`EngineConfig::indexed_min_k_ratio`].
-    pub const DEFAULT_INDEXED_MIN_K_RATIO: usize = 2;
-    /// Default for [`EngineConfig::indexed_max_acc_elements`] (8M elements,
-    /// a 32 MiB `f32` grid).
-    pub const DEFAULT_INDEXED_MAX_ACC_ELEMENTS: usize = 1 << 23;
     /// Default for [`EngineConfig::shard_grain_nnz`]: sharding disabled, so
     /// default-configured runs reproduce the unsharded accounting (and the
     /// recorded goldens) bit for bit.
@@ -109,13 +70,9 @@ impl EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            probe_gate_factor: Self::DEFAULT_PROBE_GATE_FACTOR,
-            indexed_min_k_ratio: Self::DEFAULT_INDEXED_MIN_K_RATIO,
-            indexed_max_acc_elements: Self::DEFAULT_INDEXED_MAX_ACC_ELEMENTS,
             shard_grain_nnz: Self::DEFAULT_SHARD_GRAIN_NNZ,
             shard_workers: Self::DEFAULT_SHARD_WORKERS,
             format: Self::DEFAULT_FORMAT,
-            accum: AccumConfig::default(),
             mapper: MapperCalibration::calibrated(),
         }
     }
@@ -137,7 +94,7 @@ pub struct AcceleratorConfig {
     pub l1_latency: Cycle,
     /// Memory hierarchy configuration.
     pub memory: MemoryConfig,
-    /// Software-path tuning thresholds (no effect on modeled cycles).
+    /// Software execution settings (no effect on modeled cycles).
     pub engine: EngineConfig,
 }
 
@@ -225,25 +182,10 @@ mod tests {
     #[test]
     fn engine_defaults_match_named_constants() {
         let e = EngineConfig::default();
-        assert_eq!(e.probe_gate_factor, EngineConfig::DEFAULT_PROBE_GATE_FACTOR);
-        assert_eq!(
-            e.indexed_min_k_ratio,
-            EngineConfig::DEFAULT_INDEXED_MIN_K_RATIO
-        );
-        assert_eq!(
-            e.indexed_max_acc_elements,
-            EngineConfig::DEFAULT_INDEXED_MAX_ACC_ELEMENTS
-        );
+        assert_eq!(e.shard_grain_nnz, EngineConfig::DEFAULT_SHARD_GRAIN_NNZ);
+        assert_eq!(e.shard_workers, EngineConfig::DEFAULT_SHARD_WORKERS);
         assert_eq!(e.format, EngineConfig::DEFAULT_FORMAT);
         assert_eq!(e.format, FiberFormat::Soa);
-        assert_eq!(
-            e.accum.dense_span_per_elem,
-            AccumConfig::DEFAULT_DENSE_SPAN_PER_ELEM
-        );
-        assert_eq!(
-            e.accum.runs_merge_limit,
-            AccumConfig::DEFAULT_RUNS_MERGE_LIMIT
-        );
         assert_eq!(e.mapper, MapperCalibration::calibrated());
     }
 

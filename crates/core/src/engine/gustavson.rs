@@ -88,7 +88,7 @@ pub(super) fn run(e: &mut Engine<'_>, ws: &mut EngineWorkspace) {
                 let out = if c_nnz == 0 {
                     Fiber::new()
                 } else {
-                    cluster_acc.begin(c_lo, c_hi, c_nnz, &e.cfg.engine.accum);
+                    cluster_acc.begin(c_lo, c_hi, c_nnz);
                     for el in chunk.iter() {
                         if b.fiber_len(el.coord) > 0 {
                             cluster_acc.scatter_scaled(b.fiber(el.coord), el.value);
@@ -114,7 +114,7 @@ pub(super) fn run(e: &mut Engine<'_>, ws: &mut EngineWorkspace) {
                                 pool.push(RowAccum::new());
                                 (pool.len() - 1) as u32
                             });
-                            pool[idx as usize].begin_runs(&e.cfg.engine.accum);
+                            pool[idx as usize].begin_runs();
                             accum_of[r] = idx;
                         }
                         pool[accum_of[r] as usize].push_run(out);

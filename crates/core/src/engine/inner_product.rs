@@ -253,6 +253,30 @@ fn run_indexed(
     }
 }
 
+/// Streaming loop: probe a fiber's index with the tile's stationary list
+/// (instead of mask-scanning the fiber) when
+/// `stationary_coords * PROBE_GATE_FACTOR <= fiber_len`.
+///
+/// Derived from `threshold_probe/{scan,probe}`: a mask-scan of a
+/// 4096-element fiber is flat (~3.6 µs) while probing with a stationary
+/// list `R` times shorter scales down with `R` (6.1 µs at R=1, 3.0 µs at
+/// R=2, 1.5 µs at R=4) — the crossover sits between R=1 and R=2, so the
+/// gate probes from a 2:1 length ratio on. (The previous hand-tuned value
+/// of 4 left the 2–4x band on the slower scan path.)
+///
+/// Re-checked on the SIMD build (the bitmap tier that dominates these
+/// fixtures is untouched by SIMD, but inlining around `Prober::probe`
+/// shifted): a lib-level microbench pins the bitmap probe at the same
+/// ~1.6 ns/probe as the pre-SIMD build, keeping the crossover between R=1
+/// and R=2, and an engine A/B of gate 2 vs 4 on `execute/table5` showed no
+/// dataflow where 4 wins (KMN was 15% worse). The `threshold_probe/probe`
+/// numbers as compiled in the bench *binary* currently read ~2x the
+/// lib-level cost at low `R` (a codegen/layout artifact of that binary,
+/// not a library regression — see BENCH_spgemm.json notes); naively
+/// reading them would move the gate to 4 and lose the KMN win, so the gate
+/// stays 2.
+const PROBE_GATE_FACTOR: usize = 2;
+
 /// The streaming tile loop: every fiber of B flows past each tile, and each
 /// fiber is intersected from its cheaper side.
 #[allow(clippy::too_many_arguments)]
@@ -269,7 +293,6 @@ fn run_streaming(
     split_acc: &mut SplitAcc,
 ) {
     let (a, b) = (e.a, e.b);
-    let probe_gate_factor = e.cfg.engine.probe_gate_factor;
 
     for tile in plan.tiles() {
         // Tile boundary: a fired token stops before the next tile streams.
@@ -309,7 +332,7 @@ fn run_streaming(
             let fiber = b.fiber(n);
             let (coords, vals) = (fiber.coords(), fiber.values());
             let overlaps = coords[coords.len() - 1] >= tile_lo && coords[0] <= tile_hi;
-            let probe_wins = touched_k.len() * probe_gate_factor <= coords.len();
+            let probe_wins = touched_k.len() * PROBE_GATE_FACTOR <= coords.len();
             if !overlaps {
                 // Disjoint coordinate ranges: nothing can intersect. The
                 // fiber still streams past (charged below), but no scan or

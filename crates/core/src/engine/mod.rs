@@ -194,16 +194,27 @@ pub(crate) fn execute(
     Ok((c, report))
 }
 
-/// Chooses and precomputes the Inner-Product strategy state. The dispatch
-/// thresholds live on `EngineConfig` (ROADMAP item (b)): the k-indexed path
-/// wins when K dwarfs the array and its dense `clusters x N` accumulator
-/// grid stays affordable.
+/// Inner-Product dispatch: take the k-indexed tile loop when
+/// `K >= INDEXED_MIN_K_RATIO * multipliers`. A tile's stationary values
+/// then touch at most half of B's k rows, so walking only those rows skips
+/// at least half of them. The value came with the k-indexed path and its
+/// `execute/table5/MNK` speedup in `BENCH_spgemm.json`; no crossover sweep
+/// has been recorded for it.
+const INDEXED_MIN_K_RATIO: usize = 2;
+/// Inner-Product dispatch: upper bound, in elements, on the dense
+/// `clusters x N` accumulator grid the k-indexed path allocates (8M
+/// elements, a 32 MiB `f32` grid). A memory bound, not a speed crossover.
+const INDEXED_MAX_ACC_ELEMENTS: usize = 1 << 23;
+
+/// Chooses and precomputes the Inner-Product strategy state: the k-indexed
+/// path wins when K dwarfs the array and its dense `clusters x N`
+/// accumulator grid stays affordable.
 fn ip_shared(cfg: &AcceleratorConfig, a: MatrixView<'_>, b: MatrixView<'_>) -> IpShared {
     let k_dim = a.cols() as usize;
     let n_dim = b.major_dim() as usize;
     let slots = cfg.multipliers as usize;
-    let indexed = k_dim >= cfg.engine.indexed_min_k_ratio * slots
-        && slots.saturating_mul(n_dim) <= cfg.engine.indexed_max_acc_elements
+    let indexed = k_dim >= INDEXED_MIN_K_RATIO * slots
+        && slots.saturating_mul(n_dim) <= INDEXED_MAX_ACC_ELEMENTS
         && b.nnz() > 0;
     if indexed {
         // B's elements grouped by k. A CSC fiber scan visits each k in
@@ -523,7 +534,7 @@ impl<'a> Engine<'a> {
                 lo = lo.min(f.coords()[0]);
                 hi = hi.max(f.coords()[f.len() - 1]);
             }
-            acc.begin(lo, hi, total, &self.cfg.engine.accum);
+            acc.begin(lo, hi, total);
             for f in &batch {
                 acc.scatter(f.as_view());
             }

@@ -119,7 +119,7 @@ pub(super) fn run(
                 pool.push(flexagon_sparse::RowAccum::new());
                 (pool.len() - 1) as u32
             });
-            pool[idx as usize].begin(lo[r], hi[r], nnz[r], &e.cfg.engine.accum);
+            pool[idx as usize].begin(lo[r], hi[r], nnz[r]);
             accum_of[r] = idx;
         }
 

@@ -8,7 +8,11 @@
 //!
 //! * [`Dataflow`] — the six dataflows and their Table 3 taxonomy.
 //! * [`transitions`] — the inter-layer format-compatibility rules (Table 4).
-//! * [`AcceleratorConfig`] — the Table 5 configuration.
+//! * [`AcceleratorConfig`] — the Table 5 configuration, with an
+//!   [`EngineConfig`] of four software settings: shard grain, shard
+//!   workers, default storage format and mapper calibration. The engine's
+//!   path-selection gates are private constants, since they choose how a
+//!   bit-identical result is computed, never the result.
 //! * [`Accelerator`] — common interface; implemented by [`Flexagon`],
 //!   [`SigmaLike`], [`SparchLike`], [`GammaLike`] and [`CpuMkl`].
 //! * [`ExecutionReport`] — cycles, phase split, on-/off-chip traffic, cache
@@ -16,8 +20,8 @@
 //! * [`mapper`] — per-layer `(dataflow, format)` selection:
 //!   [`MappingStrategy`] (oracle sweep, calibrated heuristic, or pinned
 //!   dataflow) with the fitted [`MapperCalibration`] cost-model
-//!   corrections, plus [`FormatChoice`]/[`FormatSelection`] for the
-//!   storage-format axis.
+//!   corrections, plus [`FormatChoice`] and the shape-gated
+//!   [`mapper::choose_format`] for the storage-format axis.
 //! * [`Accelerator::execute`] — the unified entry point: one
 //!   [`ExecutionRequest`] carries strategy, format, validation and an
 //!   optional [`CancelToken`] deadline.
@@ -52,9 +56,7 @@ pub use config::{AcceleratorConfig, EngineConfig};
 pub use cpu::{CpuConfig, CpuMkl};
 pub use dataflow::{Dataflow, DataflowClass, Stationarity};
 pub use error::CoreError;
-pub use mapper::{
-    ClassCalibration, FormatChoice, FormatSelection, MapperCalibration, MappingStrategy,
-};
+pub use mapper::{ClassCalibration, FormatChoice, MapperCalibration, MappingStrategy};
 pub use report::{ExecutionReport, TrafficReport};
 
 /// Convenience result alias for accelerator operations.

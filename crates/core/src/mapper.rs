@@ -20,8 +20,8 @@
 //! Since the format-adaptive storage tier landed, the mapper's decision is
 //! the *pair* `(dataflow, format)`: [`FormatChoice`] names how the fiber
 //! storage format is picked (config default, per-operand heuristic, or
-//! pinned token), [`FormatSelection`] holds the shape thresholds the
-//! heuristic reads from [`FormatStats`], and
+//! pinned token), [`choose_format`] picks a lossless format from the
+//! shape statistics in [`FormatStats`], and
 //! [`MappingStrategy::parse_spec`] parses the compound
 //! `strategy@format` client token.
 
@@ -137,66 +137,41 @@ impl std::str::FromStr for FormatChoice {
     }
 }
 
-/// Shape thresholds for [`choose_format`] — the format-tier analogue of
-/// [`MapperCalibration`], kept as its own struct so the calibration's
-/// serde shape (embedded in `MAPPER_accuracy.json`) stays frozen.
+/// Minimum 4-wide block fill ([`FormatStats::block_fill4`]) for the
+/// blocked format to win: the byte crossover of the 4-wide blocked layout,
+/// `(5 + 16) / 32`.
 ///
-/// The defaults are the exact byte crossovers of the encoded layouts
+/// The format gates are the exact byte crossovers of the encoded layouts
 /// (see `FormattedMatrix::footprint_bytes`): a width-`w` blocked fiber
 /// costs `(5 + 4w) / (w · fill_w)` bytes per element against SoA's 8, so
-/// 4-wide blocks pay off past `fill4 = 21/32` (and 8-wide past
-/// `37/64`, the same knob rescaled by `37/42`); the ELL grid only pays
-/// off when rows are uniform (low CV) *and* the padding bytes stay under
-/// the pointer-array savings. The `format_kernels` bench group measures
-/// the kernel-side win at these same fills (the masked dot amortizes one
-/// base compare over `fill x width` multiply-adds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FormatSelection {
-    /// Minimum 4-wide block fill ([`FormatStats::block_fill4`]) for the
-    /// blocked format to win.
-    pub min_block_fill: f64,
-    /// Maximum row-length coefficient of variation
-    /// ([`FormatStats::row_len_cv`]) for the ELL grid.
-    pub max_row_cv: f64,
-    /// Maximum ELL padding ratio ([`FormatStats::ell_waste`]).
-    pub max_ell_waste: f64,
-}
-
-impl FormatSelection {
-    /// Default for [`FormatSelection::min_block_fill`]: the byte
-    /// crossover of the 4-wide blocked layout, `(5 + 16) / 32`.
-    pub const DEFAULT_MIN_BLOCK_FILL: f64 = 21.0 / 32.0;
-    /// Default for [`FormatSelection::max_row_cv`].
-    pub const DEFAULT_MAX_ROW_CV: f64 = 0.25;
-    /// Default for [`FormatSelection::max_ell_waste`].
-    pub const DEFAULT_MAX_ELL_WASTE: f64 = 1.0;
-}
-
-impl Default for FormatSelection {
-    fn default() -> Self {
-        Self {
-            min_block_fill: Self::DEFAULT_MIN_BLOCK_FILL,
-            max_row_cv: Self::DEFAULT_MAX_ROW_CV,
-            max_ell_waste: Self::DEFAULT_MAX_ELL_WASTE,
-        }
-    }
-}
+/// 4-wide blocks pay off past `fill4 = 21/32` (and 8-wide past `37/64`,
+/// the same gate rescaled by `37/42`); the ELL grid only pays off when rows
+/// are uniform (low CV) *and* the padding bytes stay under the
+/// pointer-array savings. The `format_kernels` bench group measures the
+/// kernel-side win at these same fills (the masked dot amortizes one base
+/// compare over `fill x width` multiply-adds).
+const MIN_BLOCK_FILL: f64 = 21.0 / 32.0;
+/// Maximum row-length coefficient of variation
+/// ([`FormatStats::row_len_cv`]) for the ELL grid.
+const MAX_ROW_CV: f64 = 0.25;
+/// Maximum ELL padding ratio ([`FormatStats::ell_waste`]).
+const MAX_ELL_WASTE: f64 = 1.0;
 
 /// Picks a *lossless* storage format from a matrix's shape statistics:
 /// dense-clustered coordinates (high block fill) take the blocked format,
 /// uniform rows within the padding budget take ELL, everything else stays
 /// on the SoA baseline. Quantization is never selected implicitly — it is
 /// lossy and strictly opt-in.
-pub fn choose_format(stats: &FormatStats, sel: &FormatSelection) -> FiberFormat {
+pub fn choose_format(stats: &FormatStats) -> FiberFormat {
     if stats.nnz == 0 {
         return FiberFormat::Soa;
     }
     // Blocked vs SoA, per width: (5 + 4w)/(w · fill_w) bytes per element
-    // against 8. The knob is expressed at width 4; the width-8 gate is the
-    // same knob rescaled by the exact byte ratio 37/42 between the two
+    // against 8. The gate is expressed at width 4; the width-8 gate is the
+    // same gate rescaled by the exact byte ratio 37/42 between the two
     // widths' crossovers (37/64 = 21/32 · 37/42).
-    let beats_soa4 = stats.block_fill4 >= sel.min_block_fill;
-    let beats_soa8 = stats.block_fill8 >= sel.min_block_fill * (37.0 / 42.0);
+    let beats_soa4 = stats.block_fill4 >= MIN_BLOCK_FILL;
+    let beats_soa8 = stats.block_fill8 >= MIN_BLOCK_FILL * (37.0 / 42.0);
     // Between the widths, 8-wide stores fewer bytes iff
     // 37/(8·fill8) < 21/(4·fill4), i.e. 42·fill8 > 37·fill4.
     if beats_soa8 && (!beats_soa4 || 42.0 * stats.block_fill8 >= 37.0 * stats.block_fill4) {
@@ -205,11 +180,11 @@ pub fn choose_format(stats: &FormatStats, sel: &FormatSelection) -> FiberFormat 
     if beats_soa4 {
         return FiberFormat::Bcsr4;
     }
-    // The ELL grid: uniform rows (low CV), padding within the configured
-    // budget, and — the byte condition — padding cells cheaper than the
-    // pointer array the grid replaces (8·waste·nnz ≤ 4·fibers + 8).
-    if stats.row_len_cv <= sel.max_row_cv
-        && stats.ell_waste <= sel.max_ell_waste
+    // The ELL grid: uniform rows (low CV), padding within the budget, and
+    // — the byte condition — padding cells cheaper than the pointer array
+    // the grid replaces (8·waste·nnz ≤ 4·fibers + 8).
+    if stats.row_len_cv <= MAX_ROW_CV
+        && stats.ell_waste <= MAX_ELL_WASTE
         && 8.0 * stats.ell_waste * stats.nnz as f64 <= 4.0 * stats.fibers as f64 + 8.0
     {
         return FiberFormat::Ell;
@@ -218,10 +193,9 @@ pub fn choose_format(stats: &FormatStats, sel: &FormatSelection) -> FiberFormat 
 }
 
 /// The per-operand format heuristic behind [`FormatChoice::Auto`]:
-/// [`choose_format`] over the stationary operand's [`FormatStats`] with
-/// the default [`FormatSelection`] thresholds.
+/// [`choose_format`] over the stationary operand's [`FormatStats`].
 pub fn heuristic_format(a: &CompressedMatrix) -> FiberFormat {
-    choose_format(&FormatStats::of(a), &FormatSelection::default())
+    choose_format(&FormatStats::of(a))
 }
 
 /// Fitted linear correction for one dataflow class's closed-form estimate:

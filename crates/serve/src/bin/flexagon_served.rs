@@ -105,22 +105,20 @@ fn parse_config() -> ServeConfig {
     // Flag wins over FLEXAGON_FAULTS so a script can override the ambient
     // environment; either way a malformed spec is a startup error, not a
     // silently-unarmed plan.
-    let plan = match faults {
-        Some(spec) => match FaultSpec::parse(&spec) {
-            Ok(s) => FaultPlan::new(s),
-            Err(e) => {
-                eprintln!("--faults: {e}");
-                usage()
-            }
-        },
-        None => match FaultPlan::from_env() {
-            Ok(p) => p,
-            Err(e) => {
+    let spec = match faults {
+        Some(spec) => FaultSpec::parse(&spec).unwrap_or_else(|e| {
+            eprintln!("--faults: {e}");
+            usage()
+        }),
+        None => match std::env::var("FLEXAGON_FAULTS") {
+            Ok(spec) => FaultSpec::parse(&spec).unwrap_or_else(|e| {
                 eprintln!("FLEXAGON_FAULTS: {e}");
-                std::process::exit(2);
-            }
+                std::process::exit(2)
+            }),
+            Err(_) => FaultSpec::default(),
         },
     };
+    let plan = FaultPlan::new(spec);
     if plan.enabled() {
         eprintln!("flexagon_served: FAULT INJECTION ARMED: {:?}", plan.spec());
     }

@@ -24,8 +24,9 @@
 //!   worker hostage forever; the chaos tests use it to prove a wedged
 //!   worker is reclaimed within one deadline.
 //!
-//! The plan is configured from a spec string — `--faults` flag or the
-//! `FLEXAGON_FAULTS` environment variable — of comma-separated knobs:
+//! The plan is configured from a spec string — which the `flexagon_served`
+//! binary takes from its `--faults` flag or the `FLEXAGON_FAULTS`
+//! environment variable — of comma-separated knobs:
 //! `panic=N` (every Nth job panics), `slow=N:MS` (every Nth job sleeps
 //! MS milliseconds), `corrupt=N` (every Nth data frame is corrupted),
 //! `stuck=N` (every Nth job wedges until cancelled).
@@ -153,19 +154,6 @@ impl FaultPlan {
             slow_jobs: AtomicU64::new(0),
             corrupted_frames: AtomicU64::new(0),
             stuck_jobs: AtomicU64::new(0),
-        }
-    }
-
-    /// Builds a plan from the `FLEXAGON_FAULTS` environment variable
-    /// (unset or empty → no faults).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FaultSpec::parse`] errors.
-    pub fn from_env() -> Result<Self, String> {
-        match std::env::var("FLEXAGON_FAULTS") {
-            Ok(s) => Ok(Self::new(FaultSpec::parse(&s)?)),
-            Err(_) => Ok(Self::none()),
         }
     }
 

@@ -202,6 +202,19 @@ fn pinned_lossless_format_is_result_transparent() {
     let b = random_matrix(52, 48, 48, 0.3);
     let strategy = MappingStrategy::Heuristic;
     let mut client = Client::connect(server.local_addr()).expect("connect");
+    let pinned = |format: FiberFormat, ship: bool, id: bool| {
+        Request::spgemm(SpGemmRequest {
+            tenant: "format-pin".to_owned(),
+            strategy,
+            format: FormatChoice::Fixed(format),
+            a: ship.then(|| a.clone()),
+            b: ship.then(|| b.clone()),
+            a_id: id.then(|| "fmt-a".to_owned()),
+            b_id: id.then(|| "fmt-b".to_owned()),
+            want_output: true,
+            ..SpGemmRequest::default()
+        })
+    };
     for format in [FiberFormat::Bcsr4, FiberFormat::Ell] {
         let direct = Flexagon::with_defaults()
             .execute(
@@ -211,26 +224,26 @@ fn pinned_lossless_format_is_result_transparent() {
             )
             .expect("direct run");
         let expected_report = report_json(&direct.output.report);
-        let req = Request::spgemm(SpGemmRequest {
-            tenant: "format-pin".to_owned(),
-            strategy,
-            format: FormatChoice::Fixed(format),
-            a: Some(a.clone()),
-            b: Some(b.clone()),
-            // Pinned formats key the cache per token: the same identity
-            // under bcsr4 and ell must resolve independently.
-            a_id: Some("fmt-a".to_owned()),
-            b_id: Some("fmt-b".to_owned()),
-            want_output: true,
-            ..SpGemmRequest::default()
-        });
+        // Inline operands under both formats; only bcsr4 registers ids.
+        let shipped = pinned(format, true, format == FiberFormat::Bcsr4);
         assert_served_matches_direct(
             &mut client,
-            &req,
+            &shipped,
             direct.dataflow,
             &direct.output.c,
             &expected_report,
         );
+        if format == FiberFormat::Ell {
+            // The cache is not split by format: an id-only ell request
+            // resolves the operands shipped under bcsr4.
+            assert_served_matches_direct(
+                &mut client,
+                &pinned(format, false, true),
+                direct.dataflow,
+                &direct.output.c,
+                &expected_report,
+            );
+        }
     }
     server.shutdown();
 }

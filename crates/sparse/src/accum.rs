@@ -17,9 +17,6 @@
 //!   is affordable: scatters are one indexed add, and the drain compacts
 //!   64-slot value windows under the presence bitmap with SIMD
 //!   compress-stores ([`simd::compress_word`]).
-//! * **Paged** — medium spans where only the one-bit-per-coordinate bitmap
-//!   is affordable: value storage is allocated in 64-slot pages on first
-//!   touch of a bitmap word, and the drain is a bitmap-directed gather.
 //! * **Runs** — wide, sparse spans: incoming fibers are kept as sorted runs
 //!   and k-way merged on overflow and on drain (prefix merges preserve the
 //!   left-to-right accumulation order, so collapsing early never changes a
@@ -33,77 +30,32 @@
 //! non-associativity hazards.
 
 use crate::{merge, Fiber, FiberView, Value};
-use serde::{Deserialize, Serialize};
 
-/// Tier-selection thresholds for [`RowAccum`], exposed so the engine's
-/// calibration (ROADMAP item (b)) can tune them without code edits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AccumConfig {
-    /// Dense tier when `span <= nnz_hint * dense_span_per_elem`: each
-    /// expected element justifies this many 4-byte value slots.
-    pub dense_span_per_elem: u64,
-    /// Absolute span cap for the dense tier, bounding the value array.
-    pub dense_max_span: u64,
-    /// Paged tier when `span <= nnz_hint * paged_bits_per_elem`: each
-    /// expected element justifies this many presence-bitmap bits (the
-    /// analogue of [`index::BITS_PER_ELEMENT`](crate::index::BITS_PER_ELEMENT)).
-    pub paged_bits_per_elem: u64,
-    /// Absolute span cap for the paged tier, bounding the bitmap.
-    pub paged_max_span: u64,
-    /// Runs tier: collapse the run list with one k-way merge whenever it
-    /// grows to this many runs.
-    pub runs_merge_limit: usize,
-}
-
-impl AccumConfig {
-    /// Default for [`AccumConfig::dense_span_per_elem`].
-    ///
-    /// Derived from the `threshold_probe/{dense,paged}_accum` sweep
-    /// (16×256 elements scattered over spans of 2–512 coordinates per
-    /// element): the dense tier is faster at *every* measured ratio —
-    /// 1.2× at span/nnz = 2 widening to ~1.7× from 32 up — because both
-    /// tiers walk the same presence bitmap on drain and paged adds a page
-    /// indirection per scatter. The gate is therefore a memory-footprint
-    /// knob, not a speed crossover: 32 bounds the dense value array to
-    /// 128 bytes per expected element, and [`AccumConfig::dense_max_span`]
-    /// still caps the absolute span. (Previous hand-tuned value: 4.)
-    ///
-    /// Re-derived on the SIMD build (the dense drain's run discovery and
-    /// the paged gather are both vectorized now): dense still wins at
-    /// every measured ratio — the SIMD drain widens its lead at wide
-    /// sparse spans (`simd_kernels/drain/dense` ~1.4×) while the paged
-    /// tier's word-gather path is compare-bound, not compaction-bound —
-    /// so the gate remains the same footprint knob at 32.
-    pub const DEFAULT_DENSE_SPAN_PER_ELEM: u64 = 32;
-    /// Default for [`AccumConfig::dense_max_span`].
-    pub const DEFAULT_DENSE_MAX_SPAN: u64 = 1 << 22;
-    /// Default for [`AccumConfig::paged_bits_per_elem`].
-    pub const DEFAULT_PAGED_BITS_PER_ELEM: u64 = 64;
-    /// Default for [`AccumConfig::paged_max_span`].
-    pub const DEFAULT_PAGED_MAX_SPAN: u64 = 1 << 28;
-    /// Default for [`AccumConfig::runs_merge_limit`].
-    pub const DEFAULT_RUNS_MERGE_LIMIT: usize = 64;
-}
-
-impl Default for AccumConfig {
-    fn default() -> Self {
-        Self {
-            dense_span_per_elem: Self::DEFAULT_DENSE_SPAN_PER_ELEM,
-            dense_max_span: Self::DEFAULT_DENSE_MAX_SPAN,
-            paged_bits_per_elem: Self::DEFAULT_PAGED_BITS_PER_ELEM,
-            paged_max_span: Self::DEFAULT_PAGED_MAX_SPAN,
-            runs_merge_limit: Self::DEFAULT_RUNS_MERGE_LIMIT,
-        }
-    }
-}
+/// Dense tier when `span <= nnz_hint * DENSE_SPAN_PER_ELEM`: each expected
+/// element justifies this many 4-byte value slots (256 bytes).
+///
+/// Derived from the `threshold_probe/dense_accum` sweep (16×256 elements
+/// scattered over spans of 2–512 coordinates per element). A bitmap-paged
+/// tier used to take spans from 32 to 64 coordinates per element; the
+/// sweep measured dense 1.2–1.8× faster than it at every ratio, on the
+/// scalar and the SIMD build alike, because both walked the same presence
+/// bitmap on drain and paging added an indirection per scatter. The gate
+/// is therefore a memory-footprint bound, not a speed crossover, set at
+/// the old paged budget, so the rows that tier took now go dense rather
+/// than to the merge tier.
+const DENSE_SPAN_PER_ELEM: u64 = 64;
+/// Absolute span cap for the dense tier, bounding the value array at
+/// 16 MiB.
+const DENSE_MAX_SPAN: u64 = 1 << 22;
+/// Runs tier: collapse the run list with one k-way merge whenever it grows
+/// to this many runs.
+const RUNS_MERGE_LIMIT: usize = 64;
 
 /// The storage tier a [`RowAccum`] selected for the current row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccumTier {
     /// Tight span: dense value array plus presence bitmap.
     Dense,
-    /// Medium span: presence bitmap directing 64-slot value pages.
-    Paged,
     /// Wide or sparse span: sorted-run list, merged on overflow and drain.
     Runs,
 }
@@ -111,13 +63,9 @@ pub enum AccumTier {
 impl AccumTier {
     /// Selects the tier for an output row spanning `span` coordinates with
     /// an expected `nnz_hint` incoming psums.
-    pub fn select(span: u64, nnz_hint: u64, cfg: &AccumConfig) -> AccumTier {
-        if span <= nnz_hint.saturating_mul(cfg.dense_span_per_elem) && span <= cfg.dense_max_span {
+    pub fn select(span: u64, nnz_hint: u64) -> AccumTier {
+        if span <= nnz_hint.saturating_mul(DENSE_SPAN_PER_ELEM) && span <= DENSE_MAX_SPAN {
             AccumTier::Dense
-        } else if span <= nnz_hint.saturating_mul(cfg.paged_bits_per_elem)
-            && span <= cfg.paged_max_span
-        {
-            AccumTier::Paged
         } else {
             AccumTier::Runs
         }
@@ -127,14 +75,10 @@ impl AccumTier {
     pub fn name(self) -> &'static str {
         match self {
             AccumTier::Dense => "dense",
-            AccumTier::Paged => "paged",
             AccumTier::Runs => "runs",
         }
     }
 }
-
-/// Sentinel for an unallocated value page in the paged tier.
-const NO_PAGE: u32 = u32::MAX;
 
 /// A reusable per-row psum accumulator.
 ///
@@ -142,15 +86,15 @@ const NO_PAGE: u32 = u32::MAX;
 /// accumulator for one output row, [`RowAccum::scatter_scaled`] /
 /// [`RowAccum::push_run`] feed it sorted fibers in merge-source order, and
 /// [`RowAccum::drain`] returns the merged fiber and resets the accumulator
-/// for reuse — all buffers (value array, bitmap, pages, run list) keep
+/// for reuse — all buffers (value array, bitmap, run list) keep
 /// their allocations across rows.
 ///
 /// ```
-/// use flexagon_sparse::{AccumConfig, Element, Fiber, RowAccum};
+/// use flexagon_sparse::{Element, Fiber, RowAccum};
 /// let a = Fiber::from_sorted(vec![Element::new(1, 1.0), Element::new(3, 2.0)]);
 /// let b = Fiber::from_sorted(vec![Element::new(3, 4.0), Element::new(7, 8.0)]);
 /// let mut acc = RowAccum::new();
-/// acc.begin(1, 7, 4, &AccumConfig::default());
+/// acc.begin(1, 7, 4);
 /// acc.scatter_scaled(a.as_view(), 1.0);
 /// acc.scatter_scaled(b.as_view(), 0.5);
 /// let merged = acc.drain();
@@ -160,24 +104,18 @@ const NO_PAGE: u32 = u32::MAX;
 #[derive(Debug, Clone, Default)]
 pub struct RowAccum {
     tier: Option<AccumTier>,
-    /// Lowest coordinate of the armed span (dense/paged tiers).
+    /// Lowest coordinate of the armed span (dense tier).
     lo: u32,
     /// Words of the presence bitmap in use for the armed span.
     n_words: usize,
-    /// Distinct coordinates touched so far (dense/paged tiers).
+    /// Distinct coordinates touched so far (dense tier).
     distinct: usize,
-    /// Run-list collapse threshold (runs tier).
-    runs_limit: usize,
     /// Dense tier: one value slot per coordinate in the span. Slots are
     /// only meaningful under a set presence bit, so stale values from
     /// earlier rows never need clearing.
     vals: Vec<Value>,
-    /// Presence bitmap (dense and paged tiers), zeroed by every drain.
+    /// Dense tier: presence bitmap, zeroed by every drain.
     words: Vec<u64>,
-    /// Paged tier: bitmap word -> value-page index, [`NO_PAGE`] when unset.
-    pages: Vec<u32>,
-    /// Paged tier: 64-slot value pages, allocated on first word touch.
-    page_pool: Vec<Value>,
     /// Runs tier: sorted runs in arrival order.
     runs: Vec<Fiber>,
     /// Recycled run buffers.
@@ -203,37 +141,24 @@ impl RowAccum {
     ///
     /// Panics in debug builds if the previous row was not drained or
     /// `hi < lo`.
-    pub fn begin(&mut self, lo: u32, hi: u32, nnz_hint: u64, cfg: &AccumConfig) {
+    pub fn begin(&mut self, lo: u32, hi: u32, nnz_hint: u64) {
         debug_assert!(self.is_drained(), "begin on an undrained accumulator");
         debug_assert!(lo <= hi, "inverted span");
         let span = (hi - lo) as u64 + 1;
-        let tier = AccumTier::select(span, nnz_hint, cfg);
+        let tier = AccumTier::select(span, nnz_hint);
         self.lo = lo;
         self.n_words = (span as usize).div_ceil(64);
-        match tier {
-            AccumTier::Dense => {
-                // Word-aligned sizing: the SIMD drain compacts whole 64-slot
-                // value windows per presence word, so the array covers the
-                // final partial word too. Slack slots sit under clear
-                // presence bits and are never emitted.
-                let padded = self.n_words * 64;
-                if self.vals.len() < padded {
-                    self.vals.resize(padded, 0.0);
-                }
-                if self.words.len() < self.n_words {
-                    self.words.resize(self.n_words, 0);
-                }
+        if tier == AccumTier::Dense {
+            // Word-aligned sizing: the SIMD drain compacts whole 64-slot
+            // value windows per presence word, so the array covers the
+            // final partial word too. Slack slots sit under clear presence
+            // bits and are never emitted.
+            let padded = self.n_words * 64;
+            if self.vals.len() < padded {
+                self.vals.resize(padded, 0.0);
             }
-            AccumTier::Paged => {
-                if self.words.len() < self.n_words {
-                    self.words.resize(self.n_words, 0);
-                }
-                if self.pages.len() < self.n_words {
-                    self.pages.resize(self.n_words, NO_PAGE);
-                }
-            }
-            AccumTier::Runs => {
-                self.runs_limit = cfg.runs_merge_limit.max(2);
+            if self.words.len() < self.n_words {
+                self.words.resize(self.n_words, 0);
             }
         }
         self.tier = Some(tier);
@@ -241,9 +166,8 @@ impl RowAccum {
 
     /// Arms the accumulator as a plain sorted-run collector — the form the
     /// engine uses to hold a split row's chunk fibers across tiles.
-    pub fn begin_runs(&mut self, cfg: &AccumConfig) {
+    pub fn begin_runs(&mut self) {
         debug_assert!(self.is_drained(), "begin on an undrained accumulator");
-        self.runs_limit = cfg.runs_merge_limit.max(2);
         self.tier = Some(AccumTier::Runs);
     }
 
@@ -253,7 +177,7 @@ impl RowAccum {
     }
 
     /// Scatters `fiber` scaled by `factor` into the row, as the next merge
-    /// source. Coordinates must lie within the armed span (dense/paged).
+    /// source. Coordinates must lie within the armed span (dense tier).
     ///
     /// # Panics
     ///
@@ -298,26 +222,6 @@ impl RowAccum {
                     }
                 }
             }
-            AccumTier::Paged => {
-                for (&c, &v) in fiber.coords().iter().zip(fiber.values()) {
-                    let bit = (c - self.lo) as usize;
-                    let (w, m) = (bit >> 6, 1u64 << (bit & 63));
-                    let mut page = self.pages[w];
-                    if page == NO_PAGE {
-                        page = (self.page_pool.len() / 64) as u32;
-                        self.page_pool.resize(self.page_pool.len() + 64, 0.0);
-                        self.pages[w] = page;
-                    }
-                    let slot = page as usize * 64 + (bit & 63);
-                    if self.words[w] & m == 0 {
-                        self.words[w] |= m;
-                        self.page_pool[slot] = scale(v);
-                        self.distinct += 1;
-                    } else {
-                        self.page_pool[slot] += scale(v);
-                    }
-                }
-            }
             AccumTier::Runs => {
                 if fiber.is_empty() {
                     return;
@@ -328,63 +232,6 @@ impl RowAccum {
                 } else {
                     run.clone_from_view(fiber);
                 }
-                self.runs.push(run);
-                self.collapse_if_full();
-            }
-        }
-    }
-
-    /// Scatters a [`BlockedFiber`](crate::BlockedFiber) scaled by `factor`
-    /// into the row without first materializing its SoA form — the
-    /// blocked-format drain into the psum tiers. Bit-identical to `scatter_scaled(decoded, factor)`: the
-    /// blocked walk visits elements in the same ascending coordinate order
-    /// and applies the same per-element operations.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the accumulator is not armed.
-    pub fn scatter_blocked(&mut self, fiber: &crate::BlockedFiber, factor: Value) {
-        match self.tier.expect("scatter on an un-armed accumulator") {
-            AccumTier::Dense => {
-                fiber.for_each(|c, v| {
-                    let bit = (c - self.lo) as usize;
-                    let (w, m) = (bit >> 6, 1u64 << (bit & 63));
-                    if self.words[w] & m == 0 {
-                        self.words[w] |= m;
-                        self.vals[bit] = v * factor;
-                        self.distinct += 1;
-                    } else {
-                        self.vals[bit] += v * factor;
-                    }
-                });
-            }
-            AccumTier::Paged => {
-                fiber.for_each(|c, v| {
-                    let bit = (c - self.lo) as usize;
-                    let (w, m) = (bit >> 6, 1u64 << (bit & 63));
-                    let mut page = self.pages[w];
-                    if page == NO_PAGE {
-                        page = (self.page_pool.len() / 64) as u32;
-                        self.page_pool.resize(self.page_pool.len() + 64, 0.0);
-                        self.pages[w] = page;
-                    }
-                    let slot = page as usize * 64 + (bit & 63);
-                    if self.words[w] & m == 0 {
-                        self.words[w] |= m;
-                        self.page_pool[slot] = v * factor;
-                        self.distinct += 1;
-                    } else {
-                        self.page_pool[slot] += v * factor;
-                    }
-                });
-            }
-            AccumTier::Runs => {
-                if fiber.is_empty() {
-                    return;
-                }
-                let decoded = fiber.decode();
-                let mut run = self.spare.pop().unwrap_or_default();
-                run.scale_from(decoded.as_view(), factor);
                 self.runs.push(run);
                 self.collapse_if_full();
             }
@@ -415,7 +262,7 @@ impl RowAccum {
     /// merge folds values in exactly the order a single final merge would,
     /// so this is invisible in the drained result.
     fn collapse_if_full(&mut self) {
-        if self.runs.len() < self.runs_limit {
+        if self.runs.len() < RUNS_MERGE_LIMIT {
             return;
         }
         let (merged, _) = {
@@ -460,31 +307,6 @@ impl RowAccum {
                         &mut values,
                     );
                 }
-                self.distinct = 0;
-                Fiber::from_parts(coords, values)
-            }
-            AccumTier::Paged => {
-                // Same compress-store as the dense drain; the window is the
-                // word's 64-slot page instead of a span offset.
-                let mut coords: Vec<u32> = Vec::with_capacity(self.distinct);
-                let mut values: Vec<Value> = Vec::with_capacity(self.distinct);
-                for w in 0..self.n_words {
-                    let word = self.words[w];
-                    if word == 0 {
-                        continue;
-                    }
-                    self.words[w] = 0;
-                    let base = self.pages[w] as usize * 64;
-                    self.pages[w] = NO_PAGE;
-                    simd::compress_word(
-                        word,
-                        self.lo + ((w << 6) as u32),
-                        &self.page_pool[base..base + 64],
-                        &mut coords,
-                        &mut values,
-                    );
-                }
-                self.page_pool.clear();
                 self.distinct = 0;
                 Fiber::from_parts(coords, values)
             }
@@ -539,10 +361,10 @@ mod tests {
         (lo, hi, nnz)
     }
 
-    fn check_tier(fibers: &[(Fiber, Value)], cfg: &AccumConfig, want_tier: AccumTier) {
+    fn check_tier(fibers: &[(Fiber, Value)], want_tier: AccumTier) {
         let (lo, hi, nnz) = span_of(fibers);
         let mut acc = RowAccum::new();
-        acc.begin(lo, hi, nnz, cfg);
+        acc.begin(lo, hi, nnz);
         assert_eq!(acc.tier(), Some(want_tier));
         for (fb, s) in fibers {
             acc.scatter_scaled(fb.as_view(), *s);
@@ -560,42 +382,45 @@ mod tests {
             (f(&[(5, 1.5), (7, 0.5)]), -1.0),
             (f(&[(3, 4.0), (9, 0.25)]), 0.5),
         ];
-        check_tier(&fibers, &AccumConfig::default(), AccumTier::Dense);
+        check_tier(&fibers, AccumTier::Dense);
     }
 
     #[test]
-    fn paged_tier_matches_merge() {
-        // 6 elements over a span of ~300: too sparse for dense (span >
-        // nnz * 4) but fine for the bitmap.
+    fn sparse_span_dense_tier_matches_merge() {
+        // 6 elements over a span of ~300 (about 50 coordinates per
+        // element): the widest ratio the dense gate still admits.
         let fibers = vec![
             (f(&[(10, 1.0), (200, 2.0)]), 1.0),
             (f(&[(10, 3.0), (310, 4.0)]), 2.5),
             (f(&[(155, 5.0), (310, 6.0)]), -0.5),
         ];
-        check_tier(&fibers, &AccumConfig::default(), AccumTier::Paged);
+        check_tier(&fibers, AccumTier::Dense);
     }
 
     #[test]
     fn runs_tier_matches_merge() {
-        // A huge span with few elements: both array tiers are unaffordable.
+        // A huge span with few elements: the dense array is unaffordable.
         let fibers = vec![
             (f(&[(0, 1.0), (1 << 30, 2.0)]), 1.0),
             (f(&[(512, 3.0), (1 << 30, 4.0)]), 3.0),
         ];
-        check_tier(&fibers, &AccumConfig::default(), AccumTier::Runs);
+        check_tier(&fibers, AccumTier::Runs);
     }
 
     #[test]
     fn runs_overflow_collapse_is_invisible() {
-        let sources: Vec<(Fiber, Value)> = (0..9)
-            .map(|i| (f(&[(i, 1.0), (i + 3, 0.5), (100, 0.125)]), 1.0 + i as Value))
+        // More than two collapse limits' worth of runs: the list collapses
+        // twice before the final drain merge.
+        let sources: Vec<(Fiber, Value)> = (0..(2 * RUNS_MERGE_LIMIT as u32 + 9))
+            .map(|i| {
+                (
+                    f(&[(i, 1.0), (i + 3, 0.5), (1000, 0.125)]),
+                    1.0 + i as Value,
+                )
+            })
             .collect();
-        let tiny_limit = AccumConfig {
-            runs_merge_limit: 3,
-            ..AccumConfig::default()
-        };
         let mut acc = RowAccum::new();
-        acc.begin_runs(&tiny_limit);
+        acc.begin_runs();
         for (fb, s) in &sources {
             acc.scatter_scaled(fb.as_view(), *s);
         }
@@ -609,7 +434,7 @@ mod tests {
         let fibers = vec![(f(&[(4, -0.0)]), 1.0)];
         let (lo, hi, nnz) = span_of(&fibers);
         let mut acc = RowAccum::new();
-        acc.begin(lo, hi, nnz, &AccumConfig::default());
+        acc.begin(lo, hi, nnz);
         acc.scatter_scaled(fibers[0].0.as_view(), 1.0);
         let got = acc.drain();
         assert_eq!(got.values()[0].to_bits(), (-0.0f32).to_bits());
@@ -618,7 +443,6 @@ mod tests {
     #[test]
     fn reuse_across_rows_and_tiers() {
         let mut acc = RowAccum::new();
-        let cfg = AccumConfig::default();
         let batches = [
             vec![(f(&[(0, 1.0), (63, 2.0)]), 1.0), (f(&[(63, 3.0)]), 2.0)],
             vec![(f(&[(1000, 1.0), (9000, 2.0)]), 1.0)], // different span
@@ -626,7 +450,7 @@ mod tests {
         ];
         for fibers in &batches {
             let (lo, hi, nnz) = span_of(fibers);
-            acc.begin(lo, hi, nnz, &cfg);
+            acc.begin(lo, hi, nnz);
             for (fb, s) in fibers {
                 acc.scatter_scaled(fb.as_view(), *s);
             }
@@ -637,7 +461,7 @@ mod tests {
     #[test]
     fn push_run_collects_owned_fibers() {
         let mut acc = RowAccum::new();
-        acc.begin_runs(&AccumConfig::default());
+        acc.begin_runs();
         acc.push_run(f(&[(1, 1.0), (5, 2.0)]));
         acc.push_run(Fiber::new()); // ignored
         acc.push_run(f(&[(5, 3.0)]));
@@ -647,48 +471,16 @@ mod tests {
     }
 
     #[test]
-    fn scatter_blocked_matches_scatter_scaled() {
-        use crate::BlockedFiber;
-        // One batch per tier: clustered (dense), sparse-span (paged),
-        // huge-span (runs).
-        let batches = [
-            vec![
-                (f(&[(3, 1.0), (4, 2.0), (5, -0.5), (9, 3.0)]), 2.0),
-                (f(&[(5, 1.5), (7, 0.5)]), -1.0),
-            ],
-            vec![
-                (f(&[(10, 1.0), (200, 2.0)]), 1.0),
-                (f(&[(10, 3.0), (310, 4.0)]), 2.5),
-            ],
-            vec![
-                (f(&[(0, 1.0), (1 << 30, 2.0)]), 1.0),
-                (f(&[(512, 3.0), (1 << 30, 4.0)]), 3.0),
-            ],
-        ];
-        let cfg = AccumConfig::default();
-        for fibers in &batches {
-            let (lo, hi, nnz) = span_of(fibers);
-            let mut scalar = RowAccum::new();
-            scalar.begin(lo, hi, nnz, &cfg);
-            let mut blocked = RowAccum::new();
-            blocked.begin(lo, hi, nnz, &cfg);
-            assert_eq!(scalar.tier(), blocked.tier());
-            for (fb, s) in fibers {
-                scalar.scatter_scaled(fb.as_view(), *s);
-                blocked.scatter_blocked(&BlockedFiber::encode(fb.as_view(), 4), *s);
-            }
-            let (want, got) = (scalar.drain(), blocked.drain());
-            assert_eq!(got.coords(), want.coords());
-            let bits = |fb: &Fiber| fb.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want));
-        }
-    }
-
-    #[test]
     fn tier_selection_shape() {
-        let cfg = AccumConfig::default();
-        assert_eq!(AccumTier::select(16, 8, &cfg), AccumTier::Dense);
-        assert_eq!(AccumTier::select(500, 8, &cfg), AccumTier::Paged);
-        assert_eq!(AccumTier::select(1 << 30, 8, &cfg), AccumTier::Runs);
+        assert_eq!(AccumTier::select(16, 8), AccumTier::Dense);
+        assert_eq!(AccumTier::select(48 * 8, 8), AccumTier::Dense);
+        assert_eq!(AccumTier::select(64 * 8, 8), AccumTier::Dense);
+        assert_eq!(AccumTier::select(64 * 8 + 1, 8), AccumTier::Runs);
+        assert_eq!(AccumTier::select(1 << 30, 8), AccumTier::Runs);
+        // The absolute span cap holds however many elements are expected.
+        assert_eq!(
+            AccumTier::select(DENSE_MAX_SPAN + 1, 1 << 30),
+            AccumTier::Runs
+        );
     }
 }

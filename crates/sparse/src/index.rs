@@ -310,7 +310,7 @@ impl Prober<'_> {
     /// then 8-lane compares — consecutive probes usually advance by only a
     /// few elements) instead of a branch per element — this is the
     /// probe-side inner loop the `threshold_probe` bench group measures,
-    /// and a direct input to the `probe_gate_factor` crossover.
+    /// and a direct input to the engine's probe-gate crossover.
     #[inline]
     fn scan_from_cursor(
         &mut self,

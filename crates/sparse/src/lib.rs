@@ -14,9 +14,9 @@
 //! * [`FiberIndex`] / [`MatrixIndex`] — tiered coordinate indexes (dense
 //!   bitmap or block-skip list per fiber) behind the skip-ahead intersection
 //!   paths of the Inner-Product dataflow.
-//! * [`RowAccum`] — tiered per-row psum accumulators (dense array, paged
-//!   bitmap-directed gather, or sorted-run list) behind the Outer-Product
-//!   and Gustavson merge paths.
+//! * [`RowAccum`] — tiered per-row psum accumulators (dense array under a
+//!   presence bitmap, or sorted-run list) behind the Outer-Product and
+//!   Gustavson merge paths.
 //! * [`FiberFormat`] / [`FormattedMatrix`] — the storage-format tier:
 //!   blocked (BCSR-style), fixed-width (ELL-ish) and INT8-quantized
 //!   encodings over the SoA baseline, selected per layer by the mapper the
@@ -63,7 +63,7 @@ pub mod reference;
 pub mod stats;
 pub mod validate;
 
-pub use accum::{AccumConfig, AccumTier, RowAccum};
+pub use accum::{AccumTier, RowAccum};
 pub use bitmap::BitmapMatrix;
 pub use compressed::{CompressedMatrix, FiberIter, MajorOrder, MatrixView};
 pub use dense::DenseMatrix;

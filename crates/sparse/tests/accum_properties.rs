@@ -4,12 +4,12 @@
 //! cross-tile partial-reload pattern of the Outer-Product loop, and the
 //! runs tier's merge-on-overflow collapse.
 
-use flexagon_sparse::{merge, AccumConfig, AccumTier, Element, Fiber, FiberView, RowAccum, Value};
+use flexagon_sparse::{merge, AccumTier, Element, Fiber, FiberView, RowAccum, Value};
 use proptest::prelude::*;
 
 /// Strategy: a fiber over a configurable coordinate space with a scale
-/// factor, so small spaces exercise the dense tier, medium the paged one,
-/// and huge spans the sorted-run list.
+/// factor, so small spaces exercise the dense tier, huge spans the
+/// sorted-run list, and medium spaces whichever the drawn density picks.
 fn scaled_fiber(space: u32, max_len: usize) -> impl Strategy<Value = (Fiber, Value)> {
     (
         proptest::collection::btree_map(0..space, 0.25f32..4.0, 0..max_len),
@@ -60,11 +60,11 @@ fn assert_bit_identical(got: &Fiber, want: &Fiber) {
 
 /// Scatters a batch through `acc` (arming it from the batch's span) and
 /// checks the drain against the merge reference. Returns the drained fiber.
-fn run_batch(acc: &mut RowAccum, fibers: &[(Fiber, Value)], cfg: &AccumConfig) -> Fiber {
+fn run_batch(acc: &mut RowAccum, fibers: &[(Fiber, Value)]) -> Fiber {
     let Some((lo, hi, nnz)) = span_of(fibers) else {
         return Fiber::new();
     };
-    acc.begin(lo, hi, nnz, cfg);
+    acc.begin(lo, hi, nnz);
     for (f, s) in fibers {
         acc.scatter_scaled(f.as_view(), *s);
     }
@@ -77,31 +77,35 @@ proptest! {
     /// Dense tier (tight spans): drain is bit-identical to the k-way merge.
     #[test]
     fn dense_tier_matches_merge(fibers in batch(96, 12, 40)) {
-        let cfg = AccumConfig::default();
         if let Some((lo, hi, nnz)) = span_of(&fibers) {
-            // A span this tight must pick an array tier, never runs.
-            let tier = AccumTier::select((hi - lo) as u64 + 1, nnz, &cfg);
-            prop_assert_ne!(tier, AccumTier::Runs);
+            // A span this tight must pick the dense tier, never runs.
+            let tier = AccumTier::select((hi - lo) as u64 + 1, nnz);
+            prop_assert_eq!(tier, AccumTier::Dense);
         }
-        run_batch(&mut RowAccum::new(), &fibers, &cfg);
+        run_batch(&mut RowAccum::new(), &fibers);
     }
 
-    /// Paged tier (medium spans): drain is bit-identical to the merge.
+    /// Medium spans (the shapes a bitmap-paged tier once took, now split
+    /// between dense and runs by density): drain is bit-identical to the
+    /// merge.
     #[test]
-    fn paged_tier_matches_merge(fibers in batch(200_000, 8, 30)) {
-        run_batch(&mut RowAccum::new(), &fibers, &AccumConfig::default());
+    fn medium_span_matches_merge(fibers in batch(200_000, 8, 30)) {
+        run_batch(&mut RowAccum::new(), &fibers);
     }
 
     /// Runs tier (huge sparse spans): drain is bit-identical to the merge,
-    /// and an aggressive merge-on-overflow limit changes nothing.
+    /// and so is the eager merge-on-overflow path — the batch cycled to
+    /// 150 sources, more than twice the run list's collapse limit of 64.
     #[test]
     fn runs_tier_matches_merge(fibers in batch(2_000_000_000, 12, 30)) {
-        run_batch(&mut RowAccum::new(), &fibers, &AccumConfig::default());
-        let eager = AccumConfig {
-            runs_merge_limit: 2,
-            ..AccumConfig::default()
-        };
-        run_batch(&mut RowAccum::new(), &fibers, &eager);
+        run_batch(&mut RowAccum::new(), &fibers);
+        let sources: Vec<(Fiber, Value)> = fibers.iter().cycle().take(150).cloned().collect();
+        let mut acc = RowAccum::new();
+        acc.begin_runs();
+        for (f, s) in &sources {
+            acc.scatter_scaled(f.as_view(), *s);
+        }
+        assert_bit_identical(&acc.drain(), &reference(&sources));
     }
 
     /// One accumulator reused across per-tile batches, with the cross-tile
@@ -115,11 +119,10 @@ proptest! {
         tile_b in batch(50_000, 8, 30),
         tile_c in batch(128, 8, 40),
     ) {
-        let cfg = AccumConfig::default();
         let mut acc = RowAccum::new();
         let mut parts: Vec<Fiber> = Vec::new();
         for tile in [&tile_a, &tile_b, &tile_c] {
-            let part = run_batch(&mut acc, tile, &cfg);
+            let part = run_batch(&mut acc, tile);
             if !part.is_empty() {
                 parts.push(part);
             }
@@ -136,7 +139,7 @@ proptest! {
                 .max()
                 .expect("non-empty");
             let nnz = parts.iter().map(|p| p.len() as u64).sum();
-            acc.begin(lo, hi, nnz, &cfg);
+            acc.begin(lo, hi, nnz);
             for p in &parts {
                 acc.scatter(p.as_view());
             }
@@ -149,12 +152,11 @@ proptest! {
     /// matches merging the chunks in arrival order.
     #[test]
     fn chunk_runs_match_merge(chunks in batch(1_000_000, 10, 30)) {
-        let cfg = AccumConfig::default();
         let owned: Vec<Fiber> = chunks.iter().map(|(f, s)| f.scaled(*s)).collect();
         let views: Vec<FiberView<'_>> = owned.iter().map(Fiber::as_view).collect();
         let (want, _) = merge::merge_accumulate(&views);
         let mut acc = RowAccum::new();
-        acc.begin_runs(&cfg);
+        acc.begin_runs();
         for f in &owned {
             acc.push_run(f.clone());
         }

@@ -5,7 +5,8 @@
 //! compiled into the big bench binary has measured up to ~2x slower than the
 //! identical loop in a small binary (codegen/layout, not library cost). When
 //! the bench-side crossover moves, run this under both builds before touching
-//! `probe_gate_factor` — see the derivation note on that constant.
+//! the engine's Inner-Product `PROBE_GATE_FACTOR` — see the derivation note
+//! on that constant.
 
 use flexagon_sparse::{Element, Fiber, FiberIndex};
 use std::time::Instant;

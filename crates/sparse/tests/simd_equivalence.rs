@@ -10,7 +10,7 @@
 //! also checked directly against `simd::scalar` so a kernel-level
 //! coincidence can't mask a primitive-level divergence.
 
-use flexagon_sparse::{merge, AccumConfig, Element, Fiber, FiberIndex, RowAccum, Value};
+use flexagon_sparse::{merge, Element, Fiber, FiberIndex, RowAccum, Value};
 use proptest::prelude::*;
 
 /// Strategy: a sorted fiber over `0..space` with up to `max_len` elements.
@@ -113,16 +113,17 @@ proptest! {
         }
     }
 
-    /// Accumulator drains (`compress_word` compaction, dense and paged
-    /// tiers): bit-identical to the k-way merge reference. Tight spaces
-    /// force the dense tier, medium ones the paged tier; partial tail
-    /// words are covered by non-multiple-of-64 spans.
+    /// Accumulator drains (`compress_word` compaction in the dense tier,
+    /// the k-way merge in the runs tier): bit-identical to the k-way merge
+    /// reference. Tight spaces force the dense tier, wide sparse ones
+    /// mostly the runs tier; partial tail words are covered by
+    /// non-multiple-of-64 spans.
     #[test]
     fn accum_drains_match_merge_reference(
         dense in proptest::collection::vec(fiber(197, 50), 1..8),
-        paged in proptest::collection::vec(fiber(150_011, 20), 1..8),
+        sparse in proptest::collection::vec(fiber(150_011, 20), 1..8),
     ) {
-        for batch in [&dense, &paged] {
+        for batch in [&dense, &sparse] {
             let nnz: u64 = batch.iter().map(|f| f.len() as u64).sum();
             if nnz == 0 {
                 continue;
@@ -130,7 +131,7 @@ proptest! {
             let lo = batch.iter().filter(|f| !f.is_empty()).map(|f| f.coords()[0]).min().expect("nnz > 0");
             let hi = batch.iter().filter(|f| !f.is_empty()).map(|f| f.coords()[f.len() - 1]).max().expect("nnz > 0");
             let mut acc = RowAccum::new();
-            acc.begin(lo, hi, nnz, &AccumConfig::default());
+            acc.begin(lo, hi, nnz);
             for f in batch {
                 acc.scatter(f.as_view());
             }
@@ -221,7 +222,7 @@ fn dense_drain_partial_tail_word() {
             Element::new(hi, 3.25),
         ]);
         let mut acc = RowAccum::new();
-        acc.begin(lo, hi, 3, &AccumConfig::default());
+        acc.begin(lo, hi, 3);
         acc.scatter(f.as_view());
         let got = acc.drain();
         assert_bit_identical(&got, &f);
