@@ -1,8 +1,10 @@
 //! Criterion benches for the software reference SpGEMM kernels — the
-//! golden models and the CPU-baseline kernel.
+//! golden models and the CPU baseline's pricing and functional paths.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use flexagon_core::{Accelerator, AcceleratorConfig, Dataflow, ExecutionRequest, Flexagon};
+use flexagon_bench::DEFAULT_SEED;
+use flexagon_core::{Accelerator, AcceleratorConfig, CpuMkl, Dataflow, ExecutionRequest, Flexagon};
+use flexagon_dnn::table6;
 use flexagon_sparse::{
     gen, merge, reference, AccumTier, BitmapMatrix, BlockedFiber, CompressedMatrix, Fiber,
     FiberFormat, FiberIndex, FormattedMatrix, MajorOrder, RowAccum,
@@ -392,6 +394,28 @@ fn bench_execute(c: &mut Criterion) {
     group.finish();
 }
 
+/// The CPU baseline's two entry points on one Table 6 layer per favoured
+/// dataflow: `report` prices a symbolic nnz(C) (what every suite sweep
+/// pays), `run` adds the numeric product through the reference kernel.
+fn bench_cpu_baseline(c: &mut Criterion) {
+    let mut group = c.benchmark_group("cpu_baseline");
+    group.sample_size(10);
+    let cpu = CpuMkl::with_defaults();
+    for id in ["SQ11", "R6", "V7"] {
+        let mats = table6::by_id(id)
+            .expect("table 6 layer")
+            .spec
+            .materialize(DEFAULT_SEED);
+        group.bench_function(BenchmarkId::new("report", id), |bench| {
+            bench.iter(|| cpu.report(black_box(&mats.a), black_box(&mats.b)).unwrap());
+        });
+        group.bench_function(BenchmarkId::new("run", id), |bench| {
+            bench.iter(|| cpu.run(black_box(&mats.a), black_box(&mats.b)).unwrap());
+        });
+    }
+    group.finish();
+}
+
 /// The intra-layer-sharded engine over the same operands as
 /// `bench_execute`: fixed band grain, worker count from
 /// `FLEXAGON_SHARD_WORKERS` (default 4). On a multi-core host the
@@ -503,6 +527,7 @@ criterion_group!(
     bench_kway_merge,
     bench_execute,
     bench_format_kernels,
-    bench_execute_sharded
+    bench_execute_sharded,
+    bench_cpu_baseline
 );
 criterion_main!(benches);

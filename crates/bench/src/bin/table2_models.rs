@@ -19,9 +19,8 @@ fn main() {
         for layer in &model.layers {
             let mats = layer.materialize(DEFAULT_SEED);
             cpu_cycles += cpu
-                .run(&mats.a, &mats.b)
-                .expect("cpu run")
-                .report
+                .report(&mats.a, &mats.b)
+                .expect("cpu report")
                 .total_cycles;
         }
         rows.push(vec![

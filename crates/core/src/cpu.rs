@@ -2,15 +2,22 @@
 //!
 //! The paper measures Intel MKL's SpMSpM on a 4-core i5-7400 at 3 GHz and
 //! reports total cycles per model (Table 2, last column). We cannot run
-//! MKL; instead we execute the same Gustavson SpGEMM in software and charge
-//! a calibrated superscalar-CPU cost model. The model only needs to place
-//! the CPU 1–2 orders of magnitude behind the accelerators — the property
-//! Figs. 12's speed-ups rest on — and its two constants are documented and
-//! tunable.
+//! MKL; instead we charge a calibrated superscalar-CPU cost model over the
+//! work profile of `A × B` and the size of C. Pricing needs only structure:
+//! [`CpuMkl::report`] takes `nnz(C)` from a symbolic pass
+//! ([`stats::output_nnz`]) and never computes C, while [`CpuMkl::run`] adds
+//! the functional output from the software Gustavson kernel. The model only
+//! needs to place the CPU 1–2 orders of magnitude behind the accelerators —
+//! the property Fig. 12's speed-ups rest on — and its two constants are
+//! documented and tunable.
 
 use crate::{Dataflow, ExecutionReport, Result, RunOutput, TrafficReport};
 use flexagon_sim::{CounterSet, Cycle, Phase, PhaseClock, Ratio};
-use flexagon_sparse::{reference, stats::SpGemmWork, CompressedMatrix, MajorOrder};
+use flexagon_sparse::{
+    reference,
+    stats::{self, SpGemmWork},
+    CompressedMatrix,
+};
 use serde::{Deserialize, Serialize};
 
 /// Cost-model constants for the CPU baseline.
@@ -38,7 +45,8 @@ impl Default for CpuConfig {
     }
 }
 
-/// The CPU MKL stand-in: software Gustavson SpGEMM plus a cycle model.
+/// The CPU MKL stand-in: a cycle model over the product's structure, plus
+/// software Gustavson SpGEMM when the output itself is wanted.
 #[derive(Debug, Clone, Default)]
 pub struct CpuMkl {
     cfg: CpuConfig,
@@ -60,8 +68,9 @@ impl CpuMkl {
         self.cfg
     }
 
-    /// Executes `a x b` (any input formats; CSR output) and returns the
-    /// result with a cycle estimate in an [`ExecutionReport`].
+    /// Prices `a x b` (any input formats) without computing the product:
+    /// the cycle estimate of an [`ExecutionReport`] from the work profile
+    /// and a symbolic `nnz(C)`.
     ///
     /// The report reuses the accelerator schema: all cycles land in the
     /// streaming phase, and no on-chip structures are modelled.
@@ -69,15 +78,13 @@ impl CpuMkl {
     /// # Errors
     ///
     /// Returns a format error on dimension mismatch.
-    pub fn run(&self, a: &CompressedMatrix, b: &CompressedMatrix) -> Result<RunOutput> {
-        let a_csr = a.converted(MajorOrder::Row);
-        let b_csr = b.converted(MajorOrder::Row);
-        let work = SpGemmWork::of(&a_csr, &b_csr);
-        let c = reference::gustavson(&a_csr, &b_csr)?;
-        let cycles = self.estimate_cycles(&work, c.nnz() as u64);
+    pub fn report(&self, a: &CompressedMatrix, b: &CompressedMatrix) -> Result<ExecutionReport> {
+        let nnz_c = stats::output_nnz(a.view(), b.view())?;
+        let work = SpGemmWork::of(a, b);
+        let cycles = self.estimate_cycles(&work, nnz_c);
         let mut phases = PhaseClock::new();
         phases.advance(Phase::Streaming, cycles);
-        let report = ExecutionReport {
+        Ok(ExecutionReport {
             dataflow: Dataflow::GustavsonM,
             total_cycles: cycles,
             phases,
@@ -89,7 +96,19 @@ impl CpuMkl {
             multiplications: work.products,
             explicit_conversions: 0,
             counters: CounterSet::new(),
-        };
+        })
+    }
+
+    /// Executes `a x b` (any input formats; CSR output): the
+    /// [`CpuMkl::report`] price plus the product from the software
+    /// Gustavson kernel.
+    ///
+    /// # Errors
+    ///
+    /// Returns a format error on dimension mismatch.
+    pub fn run(&self, a: &CompressedMatrix, b: &CompressedMatrix) -> Result<RunOutput> {
+        let report = self.report(a, b)?;
+        let c = reference::spgemm(a, b)?;
         Ok(RunOutput { c, report })
     }
 
@@ -105,7 +124,7 @@ impl CpuMkl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexagon_sparse::{gen, DenseMatrix};
+    use flexagon_sparse::{gen, DenseMatrix, MajorOrder};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

@@ -1,7 +1,8 @@
 //! Software reference implementations of the three SpMSpM dataflows.
 //!
 //! These are the golden models every accelerator run is checked against, and
-//! the kernel behind the CPU baseline. Each mirrors the loop nest of Fig. 2:
+//! the kernel behind the CPU baseline's functional output. Each mirrors the
+//! loop nest of Fig. 2:
 //!
 //! * [`inner_product`] — MNK order, co-iteration innermost, A·CSR × B·CSC.
 //! * [`outer_product`] — KMN order, co-iteration outermost, A·CSC × B·CSR.
@@ -12,6 +13,7 @@
 use crate::{
     merge, CompressedMatrix, Element, Fiber, FormatError, MajorOrder, MatrixIndex, Result,
 };
+use std::borrow::Cow;
 
 fn check_dims(a: &CompressedMatrix, b: &CompressedMatrix) -> Result<()> {
     if a.cols() != b.rows() {
@@ -117,8 +119,9 @@ pub fn outer_product(a: &CompressedMatrix, b: &CompressedMatrix) -> Result<Compr
 /// selected by that row's coordinates.
 ///
 /// Expects both operands in CSR (Table 3). This is the GAMMA-like algorithm
-/// and also the kernel of the CPU MKL baseline; merging is confined to the
-/// current output fiber.
+/// and also the kernel of the CPU MKL baseline's functional output; merging
+/// is confined to the current output fiber. It never drops an exact zero, so
+/// its output has exactly [`crate::stats::output_nnz`] non-zeros.
 ///
 /// # Errors
 ///
@@ -155,8 +158,8 @@ pub fn gustavson(a: &CompressedMatrix, b: &CompressedMatrix) -> Result<Compresse
     CompressedMatrix::from_fibers(a.rows(), b.cols(), MajorOrder::Row, fibers)
 }
 
-/// Runs `a × b` with whichever reference kernel matches the given formats,
-/// converting operands as needed, and returns C in CSR.
+/// Runs `a × b` through [`gustavson`], converting only the operands that
+/// are not already CSR, and returns C in CSR.
 ///
 /// Convenience for tests and examples that do not care about dataflow.
 ///
@@ -165,9 +168,15 @@ pub fn gustavson(a: &CompressedMatrix, b: &CompressedMatrix) -> Result<Compresse
 /// Returns [`FormatError::DimensionMismatch`] on inner-dimension mismatch.
 pub fn spgemm(a: &CompressedMatrix, b: &CompressedMatrix) -> Result<CompressedMatrix> {
     check_dims(a, b)?;
-    let a_csr = a.converted(MajorOrder::Row);
-    let b_csr = b.converted(MajorOrder::Row);
-    gustavson(&a_csr, &b_csr)
+    gustavson(&as_csr(a), &as_csr(b))
+}
+
+/// `m` in CSR: borrowed when it already is, converted otherwise.
+fn as_csr(m: &CompressedMatrix) -> Cow<'_, CompressedMatrix> {
+    match m.order() {
+        MajorOrder::Row => Cow::Borrowed(m),
+        MajorOrder::Col => Cow::Owned(m.converted(MajorOrder::Row)),
+    }
 }
 
 #[cfg(test)]

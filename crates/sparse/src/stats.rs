@@ -4,7 +4,7 @@
 //! heuristics: the winning dataflow is a function of dimensions, sparsity
 //! degree and compressed sizes relative to on-chip capacity.
 
-use crate::{CompressedMatrix, MajorOrder, MatrixView};
+use crate::{CompressedMatrix, FormatError, MajorOrder, MatrixView, Result};
 use serde::{Deserialize, Serialize};
 
 /// Shape/sparsity summary of one matrix (the `sp`/`cs` columns of Table 6).
@@ -121,6 +121,60 @@ impl SpGemmWork {
             self.products as f64 / (self.nnz_a + self.nnz_b) as f64
         }
     }
+}
+
+/// Structural size of `A × B`: the number of distinct `(i, j)` reached by at
+/// least one product `A[i,k]·B[k,j]`.
+///
+/// Values are never read, so explicitly stored zeros count like any other
+/// entry — exactly as the reference kernels keep them, which makes this
+/// equal to `reference::gustavson(a, b)?.nnz()` without computing C. One
+/// `u32` marker per output column makes the pass O(products) with no
+/// allocation per row. Operands are walked in their native order when both
+/// are CSR or both are CSC; mixed orders convert the smaller operand.
+///
+/// # Errors
+///
+/// Returns [`FormatError::DimensionMismatch`] on inner-dimension mismatch.
+pub fn output_nnz(a: MatrixView<'_>, b: MatrixView<'_>) -> Result<u64> {
+    if a.cols() != b.rows() {
+        return Err(FormatError::DimensionMismatch {
+            left_cols: a.cols(),
+            right_rows: b.rows(),
+        });
+    }
+    match (a.order(), b.order()) {
+        (MajorOrder::Row, MajorOrder::Row) => Ok(row_wise_nnz(a, b)),
+        // CSC operands are CSR of their transposes, and Cᵀ = Bᵀ·Aᵀ has the
+        // same number of non-zeros as C.
+        (MajorOrder::Col, MajorOrder::Col) => Ok(row_wise_nnz(
+            b.reinterpret_transposed(),
+            a.reinterpret_transposed(),
+        )),
+        (_, b_order) if a.nnz() <= b.nnz() => output_nnz(a.converted(b_order).view(), b),
+        (a_order, _) => output_nnz(a, b.converted(a_order).view()),
+    }
+}
+
+/// Symbolic Gustavson over CSR operands: `marker[j]` holds one plus the
+/// last row of A that reached output column `j`.
+fn row_wise_nnz(a: MatrixView<'_>, b: MatrixView<'_>) -> u64 {
+    let mut marker = vec![0u32; b.cols() as usize];
+    let mut nnz = 0u64;
+    for (i, a_row) in a.fibers() {
+        // `i < rows <= u32::MAX`, so the stamp cannot overflow.
+        let stamp = i + 1;
+        for &k in a_row.coords() {
+            for &j in b.fiber(k).coords() {
+                let seen = &mut marker[j as usize];
+                if *seen != stamp {
+                    *seen = stamp;
+                    nnz += 1;
+                }
+            }
+        }
+    }
+    nnz
 }
 
 /// nnz per major index of `m` *as if* compressed in `order`, without
